@@ -271,6 +271,7 @@ class ConcurrentDocument:
             with self.write_locked():
                 base = self._current_view()
                 report = self.labeling.insert(parent, position, node)
+                generation = self.labeling.generation
                 edit = None
                 if self._delta_eligible(base):
                     try:
@@ -278,7 +279,7 @@ class ConcurrentDocument:
                     except DeltaCaptureError:
                         self._count_fallback()
                 self._publish_after_write(base, edit, areas)
-            self._log_commit()
+            self._log_commit(generation)
         return report
 
     def delete(self, node: XmlNode) -> RelabelReport:
@@ -296,10 +297,11 @@ class ConcurrentDocument:
                     except DeltaCaptureError:
                         self._count_fallback()
                 report = self.labeling.delete(node)
+                generation = self.labeling.generation
                 if edit is not None:
                     finish_delete(edit, parent)
                 self._publish_after_write(base, edit, areas)
-            self._log_commit()
+            self._log_commit(generation)
         return report
 
     def reenumerate(self, keep_globals: bool = True) -> bool:
@@ -462,15 +464,17 @@ class ConcurrentDocument:
     # ------------------------------------------------------------------
     # WAL group commit
     # ------------------------------------------------------------------
-    def _log_commit(self) -> None:
+    def _log_commit(self, generation: int) -> None:
         """Append this write's logical commit — called outside the RW
         write lock (readers proceed) but inside the area scope, so the
         group-commit window coalesces syncs across concurrent
-        disjoint-area writers."""
+        disjoint-area writers. *generation* is the one this write
+        published, read under the write lock: by now another writer
+        may have advanced the labeling."""
         wal = self.wal
         if wal is None:
             return
-        wal.append_commit(b"concurrent-generation:%d" % self.labeling.generation)
+        wal.append_commit(b"concurrent-generation:%d" % generation)
 
     # ------------------------------------------------------------------
     # Shared plan cache

@@ -92,6 +92,8 @@ class AxisEngine:
 
     def __init__(self, labeling: Ruid2Labeling):
         self.labeling = labeling
+        #: the labeling generation this engine's caches describe
+        self.generation = labeling.generation
         self.order = Ruid2Order(labeling.kappa, labeling.ktable)
         self._labels_in_area: Optional[Dict[int, List[Ruid2Label]]] = None
         self._area_doc_order: Optional[List[int]] = None

@@ -153,7 +153,7 @@ class LabeledDocument:
     @property
     def axes(self) -> AxisEngine:
         engine = self._axes
-        if engine is None or engine.labeling.ktable is not self.labeling.ktable:
+        if engine is None or engine.generation != self.labeling.generation:
             engine = AxisEngine(self.labeling)
             self._axes = engine
         return engine
@@ -181,22 +181,12 @@ class LabeledDocument:
     # Updates
     # ------------------------------------------------------------------
     def insert(self, parent: XmlNode, position: int, node: XmlNode) -> RelabelReport:
-        report = self.updater.insert(parent, position, node)
-        self._invalidate()
-        return report
+        # Derived axis, order and evaluator state is keyed on the
+        # labeling generation, which every update bumps.
+        return self.updater.insert(parent, position, node)
 
     def delete(self, node: XmlNode) -> RelabelReport:
-        report = self.updater.delete(node)
-        self._invalidate()
-        return report
-
-    def _invalidate(self) -> None:
-        self._axes = None
-        if self._engine is not None:
-            adapter = self._engine._labeling
-            adapter._order = None
-            adapter._axes = None
-            self._engine._evaluators.clear()
+        return self.updater.delete(node)
 
     # ------------------------------------------------------------------
     # Fragments

@@ -18,7 +18,7 @@ of the lower area — exactly the covering property the paper requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.errors import PartitionError
 from repro.xmltree.node import XmlNode
@@ -93,41 +93,63 @@ class Frame:
         self._build()
 
     def _build(self) -> None:
-        tree_ids = {node.node_id for node in self.tree.preorder()}
-        missing = self.area_root_ids - tree_ids
-        if missing:
-            raise PartitionError(f"area roots not in tree: {sorted(missing)}")
-
-        for rid in self.area_root_ids:
-            self.frame_children[rid] = []
-
         root = self.tree.root
         self._node_by_id[root.node_id] = root
         self.frame_parent[root.node_id] = None
         self.containing_area[root.node_id] = root.node_id
-        self.areas[root.node_id] = Area(root=root, nodes=[root])
+        # One walk per area; together they visit every node once.
+        pending = [root]
+        while pending:
+            pending.extend(self.walk_area(pending.pop()).child_area_roots)
+        missing = self.area_root_ids - self.areas.keys()
+        if missing:
+            raise PartitionError(f"area roots not in tree: {sorted(missing)}")
 
-        # One preorder pass: track the current enclosing area.
-        stack: List[tuple] = [
-            (child, root.node_id) for child in reversed(root.children)
-        ]
+    def walk_area(self, root: XmlNode) -> Area:
+        """(Re)derive the area rooted at *root* from the tree: its
+        members in document order, its child-area roots (the frame
+        children of *root*) and the containing-area entry of every
+        member. Costs O(area size); an update re-walks only the area
+        it touched."""
+        root_id = root.node_id
+        area = Area(root=root, nodes=[root])
+        self.areas[root_id] = area
+        self.frame_children[root_id] = area.child_area_roots
+        roots = self.area_root_ids
+        stack = list(reversed(root.children))
         while stack:
-            node, enclosing = stack.pop()
-            self._node_by_id[node.node_id] = node
-            area = self.areas[enclosing]
+            node = stack.pop()
+            node_id = node.node_id
+            self._node_by_id[node_id] = node
             area.nodes.append(node)
-            self.containing_area[node.node_id] = enclosing
-            if node.node_id in self.area_root_ids:
-                # Boundary: leaf of the enclosing area, root of a new one.
+            self.containing_area[node_id] = root_id
+            if node_id in roots:
+                # Boundary: leaf of this area, root of a lower one.
                 area.child_area_roots.append(node)
-                self.frame_parent[node.node_id] = enclosing
-                self.frame_children[enclosing].append(node)
-                self.areas[node.node_id] = Area(root=node, nodes=[node])
-                next_enclosing = node.node_id
+                self.frame_parent[node_id] = root_id
             else:
-                next_enclosing = enclosing
-            for child in reversed(node.children):
-                stack.append((child, next_enclosing))
+                stack.extend(reversed(node.children))
+        return area
+
+    # ------------------------------------------------------------------
+    # In-place maintenance under structural updates (§3.2)
+    # ------------------------------------------------------------------
+    def drop_nodes(self, nodes: Iterable[XmlNode]) -> List[int]:
+        """Forget the nodes of a deleted subtree and return the ids of
+        the area roots among them, whose areas leave the frame. The
+        area that contained the subtree must be re-walked afterwards."""
+        dropped: List[int] = []
+        for node in nodes:
+            node_id = node.node_id
+            del self.containing_area[node_id]
+            del self._node_by_id[node_id]
+            if node_id in self.area_root_ids:
+                self.area_root_ids.discard(node_id)
+                del self.areas[node_id]
+                del self.frame_parent[node_id]
+                del self.frame_children[node_id]
+                dropped.append(node_id)
+        return dropped
 
     # ------------------------------------------------------------------
     # Frame-as-a-tree accessors

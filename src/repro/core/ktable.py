@@ -111,13 +111,23 @@ class KTable:
     def rows(self) -> Iterator[KRow]:
         return iter(self._rows)
 
+    def _position(self, global_index: int) -> int:
+        position = bisect_left(self._globals, global_index)
+        if position >= len(self._globals) or self._globals[position] != global_index:
+            raise UnknownLabelError(f"no area with global index {global_index}")
+        return position
+
     def replace(self, row: KRow) -> None:
         """Replace the row with the same global index (fan-out updates
         after an area enlargement, §3.2)."""
-        position = bisect_left(self._globals, row.global_index)
-        if position >= len(self._globals) or self._globals[position] != row.global_index:
-            raise UnknownLabelError(f"no area with global index {row.global_index}")
-        self._rows[position] = row
+        self._rows[self._position(row.global_index)] = row
+        self._pair_index_cache.clear()
+
+    def remove(self, global_index: int) -> None:
+        """Drop an area's row (its root was deleted, §3.2)."""
+        position = self._position(global_index)
+        del self._rows[position]
+        del self._globals[position]
         self._pair_index_cache.clear()
 
     def memory_bytes(self) -> int:

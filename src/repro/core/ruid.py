@@ -16,10 +16,10 @@ algorithm and never dereferences the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core import uid as uid_math
-from repro.core.frame import Frame
+from repro.core.frame import Area, Frame
 from repro.core.ktable import KRow, KTable
 from repro.core.labels import Ruid2Label
 from repro.core.partition import Partitioner, SizeCapPartitioner
@@ -125,24 +125,9 @@ def enumerate_ruid2(
         area = frame.areas[area_root.node_id]
         k_local = max(1, area.local_fan_out(), sticky.get(area_root.node_id, 0))
         result.local_fanout_used[area_root.node_id] = k_local
-        boundary = {n.node_id for n in area.child_area_roots}
-        locals_here: Dict[int, int] = {area_root.node_id: 1}
-        frontier: List[XmlNode] = [area_root]
-        while frontier:
-            next_frontier: List[XmlNode] = []
-            for node in frontier:
-                if node.node_id in boundary and node is not area_root:
-                    continue  # leaf of this area; children live below
-                node_local = locals_here[node.node_id]
-                for ordinal, child_node in enumerate(node.children):
-                    child_local = uid_math.child(node_local, k_local, ordinal)
-                    locals_here[child_node.node_id] = child_local
-                    next_frontier.append(child_node)
-            frontier = next_frontier
-        for node_id, local in locals_here.items():
-            if node_id == area_root.node_id:
-                continue  # its upper-area index is assigned by the upper pass
-            local_in_upper[node_id] = local
+        locals_here = _area_locals(area, k_local)
+        del locals_here[area_root.node_id]  # its upper-area index comes from the upper pass
+        local_in_upper.update(locals_here)
 
     # -- identifier composition + table K (Fig. 3, lines 10, 14, e) ----
     for area_root in frame.frame_levelorder():
@@ -171,6 +156,33 @@ def enumerate_ruid2(
         result.label_by_node[node.node_id] = label
         result.node_by_label[label] = node
     return result
+
+
+def _area_locals(area: Area, k_local: int) -> Dict[int, int]:
+    """Fig. 3 lines 4-13 over one area: node_id → local index under a
+    k_local-ary UID, the area root at 1 and child-area roots indexed as
+    leaves (their children live in lower areas)."""
+    boundary = {n.node_id for n in area.child_area_roots}
+    locals_here: Dict[int, int] = {area.root.node_id: 1}
+    for node in area.nodes:  # document order: parents before children
+        if node.node_id in boundary:
+            continue
+        first = uid_math.child(locals_here[node.node_id], k_local, 0)
+        for ordinal, child_node in enumerate(node.children):
+            locals_here[child_node.node_id] = first + ordinal
+    return locals_here
+
+
+class AreaRelabel(NamedTuple):
+    """What one area-local update changed (:meth:`Ruid2Labeling.relabel_area`)."""
+
+    #: (node_id, old label, new label) of every pre-existing node whose
+    #: label changed, in document order
+    moves: List[Tuple[int, Ruid2Label, Ruid2Label]]
+    #: a pre-existing area's committed local fan-out grew
+    overflow: bool
+    #: the frame conflicted with the pinned globals and was renumbered
+    frame_renumbered: bool
 
 
 class Ruid2Labeling:
@@ -212,7 +224,7 @@ class Ruid2Labeling:
         self._parent_memo: Dict[Ruid2Label, Ruid2Label] = {}
 
     # ------------------------------------------------------------------
-    # Re-enumeration (used by incremental update, §3.2)
+    # Full re-enumeration (explicit, and the updates' frame-conflict fallback)
     # ------------------------------------------------------------------
     def reenumerate(self, keep_globals: bool = True) -> bool:
         """Re-run the build over the *current* partition.
@@ -256,6 +268,162 @@ class Ruid2Labeling:
         }
         self._invalidate_memos()
         return frame_renumbered
+
+    # ------------------------------------------------------------------
+    # Area-local update (§3.2)
+    # ------------------------------------------------------------------
+    def relabel_area(
+        self,
+        area_root: XmlNode,
+        removed: Sequence[XmlNode] = (),
+        promoted: Optional[XmlNode] = None,
+    ) -> AreaRelabel:
+        """Re-enumerate the one UID-local area an edit touched — the
+        paper's §3.2 update, O(area size) rather than O(document).
+
+        Call after the tree edit. *area_root* roots the area that
+        received an insert or contained a deleted subtree. *removed*
+        are the deleted nodes: their labels go, and every area they
+        rooted leaves the frame, table K and the sticky fan-outs.
+        *promoted* is a node of the area that an insert split off into
+        an area of its own; it takes the lowest free child ordinal under
+        *area_root*, as a pinned global enumeration would give it.
+
+        Only this area's row of K (its fan-out, on overflow) and the
+        local indices of its child-area roots change; every other area
+        keeps its labels, global index and K row. When a promotion grows
+        κ past what the pinned globals fit, the whole frame is
+        renumbered through :meth:`reenumerate` instead.
+        """
+        state = self._state
+        frame = state.frame
+        label_by_node = state.label_by_node
+        node_by_label = state.node_by_label
+        for node in removed:
+            del node_by_label[label_by_node.pop(node.node_id)]
+        for root_id in frame.drop_nodes(removed):
+            self._drop_area(root_id)
+        touched = [area_root]
+        if promoted is not None:
+            self.area_root_ids.add(promoted.node_id)
+            frame.area_root_ids.add(promoted.node_id)
+            touched.append(promoted)
+        for root in touched:  # after any promotion, so the upper walk stops at it
+            frame.walk_area(root)
+        if promoted is not None:
+            try:
+                self._place_area(area_root, promoted)
+            except StickyGlobalConflict:
+                return self._renumber_frame()
+
+        # Fig. 3 lines 4-13 over the touched areas only.
+        globals_by_root = state.global_by_root
+        fresh: Dict[int, Ruid2Label] = {}
+        overflow = False
+        for root in touched:
+            root_id = root.node_id
+            area = frame.areas[root_id]
+            committed = self._sticky_local.get(root_id)
+            k_local = max(1, area.local_fan_out(), committed or 0)
+            overflow |= committed is not None and k_local > committed
+            self._sticky_local[root_id] = state.local_fanout_used[root_id] = k_local
+            g = globals_by_root[root_id]
+            locals_here = _area_locals(area, k_local)
+            del locals_here[root_id]  # the root's label belongs to the upper area
+            for node_id, local in locals_here.items():
+                child_g = globals_by_root.get(node_id)
+                if child_g is None:
+                    fresh[node_id] = Ruid2Label(g, local, False)
+                else:  # a child-area root, a leaf of this area
+                    fresh[node_id] = Ruid2Label(child_g, local, True)
+
+        moves: List[Tuple[int, Ruid2Label, Ruid2Label]] = []
+        for node in _touched_preorder(frame, area_root, {r.node_id for r in touched}):
+            node_id = node.node_id
+            new = fresh[node_id]
+            old = label_by_node.get(node_id)
+            if old == new:
+                continue
+            if old is not None:
+                moves.append((node_id, old, new))
+                if node_by_label.get(old) is node:
+                    del node_by_label[old]
+            label_by_node[node_id] = new
+            node_by_label[new] = node
+
+        # K row of an area: (its global, its root's local index, its k).
+        for root in touched:
+            for row_root in (root, *frame.areas[root.node_id].child_area_roots):
+                root_id = row_root.node_id
+                row = KRow(
+                    globals_by_root[root_id],
+                    label_by_node[root_id].local_index,
+                    self._sticky_local[root_id],
+                )
+                if not state.ktable.has_area(row.global_index):
+                    state.ktable.add(row)
+                elif state.ktable.row(row.global_index) != row:
+                    state.ktable.replace(row)
+        self._invalidate_memos()
+        return AreaRelabel(moves, overflow, False)
+
+    def _drop_area(self, root_id: int) -> None:
+        """Forget a deleted area: its global, K row and sticky k."""
+        state = self._state
+        g = state.global_by_root.pop(root_id)
+        del state.root_by_global[g]
+        state.ktable.remove(g)
+        del state.local_fanout_used[root_id]
+        del self._sticky_local[root_id]
+        self.area_root_ids.discard(root_id)
+
+    def _place_area(self, upper: XmlNode, new_root: XmlNode) -> None:
+        """Give a promoted area root the lowest free child ordinal under
+        *upper*'s global. κ grows to the frame's new fan-out; raises
+        :class:`StickyGlobalConflict` if the existing globals do not fit
+        the grown κ."""
+        state = self._state
+        siblings = state.frame.frame_children[upper.node_id]
+        kappa = max(state.kappa, len(siblings))
+        if kappa != state.kappa and not self._globals_fit(kappa):
+            raise StickyGlobalConflict("a promoted area grew kappa past the pinned globals")
+        taken = {
+            uid_math.child_ordinal(state.global_by_root[s.node_id], kappa)
+            for s in siblings
+            if s is not new_root
+        }
+        # a free ordinal exists: len(taken) < len(siblings) <= kappa
+        ordinal = next(o for o in range(kappa) if o not in taken)
+        g = uid_math.child(state.global_by_root[upper.node_id], kappa, ordinal)
+        state.kappa = kappa
+        state.global_by_root[new_root.node_id] = g
+        state.root_by_global[g] = new_root
+
+    def _globals_fit(self, kappa: int) -> bool:
+        """Whether every placed area's global still hangs under its
+        frame parent's global with fan-out *kappa*."""
+        by_root = self._state.global_by_root
+        for root_id, parent_id in self._state.frame.frame_parent.items():
+            if parent_id is None or root_id not in by_root:
+                continue
+            if uid_math.parent(by_root[root_id], kappa) != by_root[parent_id]:
+                return False
+        return True
+
+    def _renumber_frame(self) -> AreaRelabel:
+        """The frame-conflict fallback: a full re-enumeration, diffed
+        against the labels the aborted area relabel left untouched."""
+        before = dict(self._state.label_by_node)
+        committed = dict(self._sticky_local)
+        frame_renumbered = self.reenumerate()
+        after = self._state.label_by_node
+        moves = []
+        for node in self.tree.preorder():  # document order, as relabel_area reports
+            old = before.get(node.node_id)
+            if old is not None and old != after[node.node_id]:
+                moves.append((node.node_id, old, after[node.node_id]))
+        overflow = any(self._sticky_local.get(rid, 0) > k for rid, k in committed.items())
+        return AreaRelabel(moves, overflow, frame_renumbered)
 
     def _invalidate_memos(self) -> None:
         self.generation += 1
@@ -394,6 +562,15 @@ class Ruid2Labeling:
             f"<Ruid2Labeling nodes={len(self)} areas={self.area_count()} "
             f"kappa={self.kappa}>"
         )
+
+
+def _touched_preorder(frame: Frame, top: XmlNode, touched: Set[int]) -> Iterator[XmlNode]:
+    """Members of the touched areas below *top* in document order: each
+    area's members, descending into the touched areas it contains."""
+    for node in frame.areas[top.node_id].nodes[1:]:
+        yield node
+        if node.node_id in touched:
+            yield from _touched_preorder(frame, node, touched)
 
 
 def rparent(label: Ruid2Label, kappa: int, ktable: KTable) -> Ruid2Label:

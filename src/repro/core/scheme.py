@@ -232,6 +232,7 @@ class Ruid2SchemeLabeling(Labeling[Ruid2Label]):
         self.core = Ruid2Labeling(tree, partitioner=partitioner)
         self._updater = Ruid2Updater(self.core, split_threshold=split_threshold)
         self._order: Optional[Ruid2Order] = None
+        self._order_generation = -1
         self._axes: Optional[AxisEngine] = None
 
     @classmethod
@@ -246,6 +247,7 @@ class Ruid2SchemeLabeling(Labeling[Ruid2Label]):
         adapter.core = core
         adapter._updater = updater or Ruid2Updater(core)
         adapter._order = None
+        adapter._order_generation = -1
         adapter._axes = None
         return adapter
 
@@ -253,28 +255,24 @@ class Ruid2SchemeLabeling(Labeling[Ruid2Label]):
     def generation(self) -> int:
         """Track the core labeling's generation: callers may mutate the
         shared core directly (``LabeledDocument`` does), and every such
-        mutation re-enumerates — bumping the core counter — so derived
-        caches invalidate regardless of which handle performed the
-        update."""
+        mutation bumps the core counter, so derived caches invalidate
+        regardless of which handle performed the update."""
         return self.core.generation
 
     def _order_oracle(self) -> Ruid2Order:
-        # κ/K change on overflow; rebuild the oracle lazily per state.
-        oracle = self._order
-        if (
-            oracle is None
-            or oracle.kappa != self.core.kappa
-            or oracle.ktable is not self.core.ktable
-        ):
-            oracle = Ruid2Order(self.core.kappa, self.core.ktable)
-            self._order = oracle
-        return oracle
+        # κ/K change (in place) on updates; rebuild the oracle lazily
+        # once per core generation.
+        generation = self.core.generation
+        if self._order_generation != generation:
+            self._order = Ruid2Order(self.core.kappa, self.core.ktable)
+            self._order_generation = generation
+        return self._order
 
     @property
     def axes(self) -> AxisEngine:
         """Axis routines bound to the current labeling state."""
         engine = self._axes
-        if engine is None or engine.labeling.ktable is not self.core.ktable:
+        if engine is None or engine.generation != self.core.generation:
             engine = AxisEngine(self.core)
             self._axes = engine
         return engine
@@ -301,16 +299,10 @@ class Ruid2SchemeLabeling(Labeling[Ruid2Label]):
         return self.core.snapshot()
 
     def insert(self, parent: XmlNode, position: int, node: XmlNode) -> RelabelReport:
-        report = self._updater.insert(parent, position, node)
-        self._order = None
-        self._axes = None
-        return report
+        return self._updater.insert(parent, position, node)
 
     def delete(self, node: XmlNode) -> RelabelReport:
-        report = self._updater.delete(node)
-        self._order = None
-        self._axes = None
-        return report
+        return self._updater.delete(node)
 
 
 class MultiRuidSchemeLabeling(Labeling):

@@ -14,12 +14,15 @@ Semantics implemented:
   ``k`` (the paper's Fig. 1 discussion). Deletion is cascading and the
   remaining right siblings shift left.
 * **2-level rUID** — the partition is kept fixed; only the UID-local
-  area receiving the update is re-enumerated. An overflow of the
-  area's local fan-out renumbers that area alone (and updates its row
-  of K); global indices never change on insertion because the frame is
-  untouched. Deleting a subtree that contains area roots removes those
-  frame nodes, shifting the global indices of following sibling areas
-  (the frame is itself UID-enumerated).
+  area receiving the update is re-enumerated
+  (:meth:`~repro.core.ruid.Ruid2Labeling.relabel_area`), so an edit
+  costs O(area size). An overflow of the area's local fan-out
+  renumbers that area alone (and updates its row of K); global indices
+  never change on insertion because the frame is untouched. Deleting a
+  subtree that contains area roots removes those frame nodes and their
+  K rows; surviving areas keep their global indices, since their frame
+  edges are unchanged. Only an opt-in area split that grows κ past the
+  pinned globals falls back to a whole-frame enumeration.
 
 Committed fan-outs are sticky in both schemes: they grow on overflow
 and never shrink, because shrinking would gratuitously renumber nodes.
@@ -28,9 +31,9 @@ and never shrink, because shrinking would gratuitously renumber nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, List, Optional, Set, TypeVar
+from typing import Dict, Generic, List, Optional, TypeVar
 
-from repro.core.ruid import Ruid2Labeling
+from repro.core.ruid import AreaRelabel, Ruid2Labeling
 from repro.core.uid import UidLabeling
 from repro.xmltree.node import XmlNode
 from repro.xmltree.tree import XmlTree
@@ -160,52 +163,54 @@ class Ruid2Updater:
     def insert(
         self, parent: XmlNode, position: int, node: XmlNode
     ) -> RelabelReport:
-        before = self.labeling.snapshot()
-        sticky_before = {
-            rid: self.labeling.local_fan_out_of(rid)
-            for rid in self.labeling.area_root_ids
-        }
-        kappa_before = self.labeling.kappa
+        labeling = self.labeling
+        surviving = len(labeling)
+        kappa_before = labeling.kappa
         self.tree.insert_node(parent, position, node)
-        self.maybe_split_area(parent)
-        frame_renumbered = self.labeling.reenumerate()
-        after = self.labeling.snapshot()
-        changed = diff_snapshots(before, after)
-        overflow = any(
-            self.labeling.local_fan_out_of(rid) > k
-            for rid, k in sticky_before.items()
-        )
-        new_ids = {n.node_id for n in node.iter_subtree()}
-        return RelabelReport(
-            scheme=self.labeling.scheme_name,
-            operation="insert",
-            changed=changed,
-            inserted_count=len(new_ids),
-            overflow=overflow,
-            surviving_nodes=len(before),
-            areas_touched=_count_areas(changed, before, after),
-            kappa_changed=self.labeling.kappa != kappa_before,
-            frame_renumbered=frame_renumbered,
+        frame = labeling.frame
+        # The new subtree joins the parent's own area when the parent
+        # roots one, else the area containing the parent.
+        if frame.is_area_root(parent):
+            area_root = parent
+        else:
+            area_root = frame.area_containing(parent).root
+        promoted = parent if self.maybe_split_area(parent) else None
+        result = labeling.relabel_area(area_root, promoted=promoted)
+        return self._report(
+            "insert",
+            result,
+            kappa_before,
+            inserted_count=sum(1 for _ in node.iter_subtree()),
+            surviving_nodes=surviving,
         )
 
     def delete(self, node: XmlNode) -> RelabelReport:
-        before = self.labeling.snapshot()
-        kappa_before = self.labeling.kappa
+        labeling = self.labeling
+        kappa_before = labeling.kappa
         removed = self.tree.delete_subtree(node)
-        removed_ids = {n.node_id for n in removed}
-        self.labeling.area_root_ids -= removed_ids
-        frame_renumbered = self.labeling.reenumerate()
-        after = self.labeling.snapshot()
-        changed = diff_snapshots(before, after)
+        area_root = labeling.frame.area_containing(node).root
+        result = labeling.relabel_area(area_root, removed=removed)
+        return self._report(
+            "delete",
+            result,
+            kappa_before,
+            deleted_count=len(removed),
+            surviving_nodes=len(labeling),
+        )
+
+    def _report(
+        self, operation: str, result: AreaRelabel, kappa_before: int, **counts
+    ) -> RelabelReport:
+        changed = [RelabelChange(*move) for move in result.moves]
         return RelabelReport(
             scheme=self.labeling.scheme_name,
-            operation="delete",
+            operation=operation,
             changed=changed,
-            deleted_count=len(removed),
-            surviving_nodes=len(before) - len(removed),
-            areas_touched=_count_areas(changed, before, after),
+            overflow=result.overflow,
+            areas_touched=len({change.new_label.global_index for change in changed}),
             kappa_changed=self.labeling.kappa != kappa_before,
-            frame_renumbered=frame_renumbered,
+            frame_renumbered=result.frame_renumbered,
+            **counts,
         )
 
     def maybe_split_area(self, insertion_parent: XmlNode) -> bool:
@@ -236,16 +241,3 @@ class Ruid2Updater:
             return False
         self.labeling.area_root_ids.add(insertion_parent.node_id)
         return True
-
-
-def _count_areas(changed, before, after) -> int:
-    """Distinct (new) global indices among the changed labels; 0 when
-    labels are not rUID triples."""
-    areas: Set[int] = set()
-    for change in changed:
-        new = change.new_label
-        if hasattr(new, "global_index"):
-            areas.add(new.global_index)
-        else:
-            return 0
-    return len(areas)

@@ -10,6 +10,9 @@ from the O(n) rebuild it replaced.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.concurrent import (
@@ -245,6 +248,56 @@ class TestWalIntegration:
         assert stats["wal_syncs"] == 2
         assert stats["wal_syncs"] < stats["wal_commits"]
         assert stats["wal_batches"] == 2
+
+
+    def test_concurrent_writers_log_the_generation_they_published(self):
+        """Each commit record names the generation its own write
+        published, even when another writer gets in between the write
+        lock's release and the log append."""
+        wal = Wal()
+        doc = _make_doc(wal=wal)
+        writes_per_thread = 25
+        logged, published = [], []
+
+        append_commit = wal.append_commit
+
+        def spying_append_commit(metadata=b""):
+            logged.append(int(metadata.rsplit(b":", 1)[1]))
+            return append_commit(metadata)
+
+        labeling_insert = doc.labeling.insert
+
+        def recording_insert(*args):
+            report = labeling_insert(*args)
+            published.append(doc.labeling.generation)  # under the write lock
+            return report
+
+        release_write = doc.lock.release_write
+
+        def release_then_yield():
+            release_write()
+            if threading.current_thread() is threads[0]:
+                time.sleep(0.001)  # let the other writer in before the log append
+
+        wal.append_commit = spying_append_commit
+        doc.labeling.insert = recording_insert
+        doc.lock.release_write = release_then_yield
+
+        def writer(parent):
+            for _ in range(writes_per_thread):
+                doc.insert(parent, 0, XmlNode("item", NodeKind.ELEMENT))
+
+        threads = [
+            threading.Thread(target=writer, args=(parent,))
+            for parent in doc.tree.root.children[:2]
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(published) == 2 * writes_per_thread
+        assert len(set(logged)) == len(logged)
+        assert set(logged) == set(published)
 
 
 class TestCacheEviction:

@@ -129,5 +129,46 @@ class TestFacade:
         kids_after = document.axes.children(document.label_of(people))
         assert len(kids_after) == len(kids_before) + 1
 
+    def test_axes_and_order_follow_overflow_insert(self):
+        """K changes in place on an overflow; every derived axis and
+        order object must notice through the labeling generation."""
+        from repro.core import Relation, Ruid2SchemeLabeling
+
+        tree = parse("<a><b><c/><c/><c/></b><d><e/><e/></d><f/></a>")
+        document = LabeledDocument(tree, partitioner=SizeCapPartitioner(4))
+        adapter = Ruid2SchemeLabeling.from_core(document.labeling, document.updater)
+        b = tree.root.children[0]
+        nodes = list(tree.preorder())
+        for node in nodes:  # warm every derived cache on the old state
+            document.axes.descendants(document.label_of(node))
+            adapter.axes.children(document.label_of(node))
+            adapter.relation(document.label_of(tree.root), document.label_of(node))
+        assert [n.tag for n in document.select("/a/b/*")] == ["c", "c", "c"]
+
+        report = document.insert(b, 1, element("n4"))  # b's area held k = 3
+        assert report.overflow
+        nodes = list(tree.preorder())
+        for node in nodes:
+            label = document.label_of(node)
+            assert document.axes.descendants(label) == [
+                document.label_of(d) for d in node.descendants()
+            ]
+            assert adapter.axes.children(label) == [
+                document.label_of(c) for c in node.children
+            ]
+        for first in nodes:
+            for second in nodes:
+                got = adapter.relation(document.label_of(first), document.label_of(second))
+                if first is second:
+                    assert got is Relation.SELF
+                elif first.is_ancestor_of(second):
+                    assert got is Relation.ANCESTOR
+                elif second.is_ancestor_of(first):
+                    assert got is Relation.DESCENDANT
+                else:
+                    preceding = tree.compare_document_order(first, second) < 0
+                    assert got is (Relation.PRECEDING if preceding else Relation.FOLLOWING)
+        assert [n.tag for n in document.select("/a/b/*")] == ["c", "n4", "c", "c"]
+
     def test_repr(self, document):
         assert "LabeledDocument" in repr(document)

@@ -66,6 +66,16 @@ class TestLookups:
         with pytest.raises(UnknownLabelError):
             fig5_table.replace(KRow(50, 1, 1))
 
+    def test_remove(self, fig5_table):
+        pairs = fig5_table.build_pair_index(4)
+        assert pairs[(3, 9)] == 10
+        fig5_table.remove(10)
+        assert not fig5_table.has_area(10)
+        assert fig5_table.globals_in_range(10, 99) == [13]
+        assert (3, 9) not in fig5_table.build_pair_index(4)  # cache dropped
+        with pytest.raises(UnknownLabelError):
+            fig5_table.remove(10)
+
 
 class TestPairIndex:
     def test_pair_index_derives_frame_parent(self, fig5_table):
