@@ -20,7 +20,7 @@ from repro.concurrent.document import (
 from repro.concurrent.epoch import EpochReclaimer
 from repro.concurrent.parallel import ParallelQueryExecutor
 from repro.concurrent.rwlock import ReadWriteLock
-from repro.concurrent.snapshot import SnapshotEvaluator, StructuralView
+from repro.concurrent.snapshot import StructuralView
 
 __all__ = [
     "AreaLockManager",
@@ -33,7 +33,6 @@ __all__ = [
     "ParallelQueryExecutor",
     "PinnedSnapshot",
     "ReadWriteLock",
-    "SnapshotEvaluator",
     "StructuralView",
     "TreeEdit",
     "capture_delete",

@@ -25,10 +25,15 @@ What a delta layer stores (everything else delegates to ``base``):
 
 Per-tag and per-kind candidate lists are patched lazily: one bisect
 finds the splice position in the base list, and the patched list is
-``head + inserted + surviving tail``. Lists for tags the edit never
-touched are **shared by reference** with the base view. Memo caches
-are built idempotently, so racing readers at worst duplicate work
-(the same discipline as ``StructuralView._tag_rank_arrays``).
+``head + inserted + surviving tail``. The rank columns the batched
+evaluator scans — the per-tag rank arrays and the rank-indexed parent
+column — are spliced the same way from the base's columns: the head
+slice, the inserted block (a delete drops the hole instead), then the
+tail shifted by ``shift``; no rank is probed per element. Lists and
+columns the edit leaves unchanged are **shared by reference** with
+the base view. Memo caches are built idempotently, so racing readers
+at worst duplicate work (the same discipline as
+``StructuralView._tag_rank_arrays``).
 
 Deltas chain: a :class:`DeltaView` may itself be the base of the next
 generation's delta. Every probe through ``n`` chained layers costs
@@ -357,6 +362,7 @@ class DeltaView(NodeStore):
         "_shift",
         "_tag_labels",
         "_tag_rank_arrays",
+        "_parent_ranks",
         "_kind_labels",
         "_value_memo",
         "_order",
@@ -381,7 +387,8 @@ class DeltaView(NodeStore):
         self._shift = edit.shift
         # lazy memo caches; idempotent builds, benign GIL races
         self._tag_labels: Dict[str, List[int]] = {}
-        self._tag_rank_arrays: Dict[str, array] = {}
+        self._tag_rank_arrays: Dict[str, Sequence[int]] = {}
+        self._parent_ranks: Optional[Sequence[int]] = None
         self._kind_labels: Dict[str, List[int]] = {}
         self._value_memo: Dict[int, str] = {}
         self._order: Optional[_LazyOrder] = None
@@ -463,16 +470,18 @@ class DeltaView(NodeStore):
     # record fetch
     # ------------------------------------------------------------------
     def _node_raw(self, label: int) -> XmlNode:
-        node = self.edit.ins_nodes.get(label)
-        if node is not None:
-            return node
-        if label in self.edit.gone:
-            raise UnknownLabelError(f"node id {label!r} was deleted")
-        base = self.base
-        raw = getattr(base, "_node_raw", None)
-        if raw is not None:
-            return raw(label)
-        return base.node_by_id[label]  # terminal StructuralView
+        # one loop down the chain, not one call per layer: every
+        # result node of every read comes through here
+        view = self
+        while isinstance(view, DeltaView):
+            edit = view.edit
+            node = edit.ins_nodes.get(label)
+            if node is not None:
+                return node
+            if label in edit.gone:
+                raise UnknownLabelError(f"node id {label!r} was deleted")
+            view = view.base
+        return view.node_by_id[label]  # terminal StructuralView
 
     def record(self, label: int) -> NodeRecord:
         self.stats.fetches += 1
@@ -485,11 +494,15 @@ class DeltaView(NodeStore):
 
     def label_for(self, node: XmlNode) -> int:
         nid = node.node_id
-        if nid in self.edit.ins_nodes:
-            return nid
-        if nid in self.edit.gone:
-            raise UnknownLabelError(f"node {node!r} was deleted")
-        return self.base.label_for(node)
+        view = self
+        while isinstance(view, DeltaView):
+            edit = view.edit
+            if nid in edit.ins_nodes:
+                return nid
+            if nid in edit.gone:
+                raise UnknownLabelError(f"node {node!r} was deleted")
+            view = view.base
+        return view.label_for(node)
 
     # ------------------------------------------------------------------
     # candidate enumeration: lazily patched lists
@@ -515,16 +528,45 @@ class DeltaView(NodeStore):
     def labels_with_tag(self, tag: str) -> List[int]:
         self.stats.tag_lookups += 1
         cached = self._tag_labels.get(tag)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._splice_tag(tag)[0]
+        return cached
+
+    def tag_ranks(self, tag: str) -> Sequence[int]:
+        self.stats.columnar_tag_scans += 1
+        cached = self._tag_rank_arrays.get(tag)
+        if cached is None:
+            cached = self._splice_tag(tag)[1]
+        return cached
+
+    def _splice_tag(self, tag: str) -> Tuple[List[int], Sequence[int]]:
+        """The tag's (labels, ranks) columns spliced from the base's:
+        one bisect on the base ranks finds the block; the tail's ranks
+        move by ``shift``. A tag the edit neither inserted nor deleted
+        shares the base labels, and shares the base ranks too when
+        they all lie before the cut."""
+        base = self.base
+        base_labels = base.labels_with_tag(tag)
+        base_ranks = base.tag_ranks(tag)
+        cut = self._cut
+        shift = self._shift
+        lo = bisect_left(base_ranks, cut)
+        hi = lo if shift > 0 else bisect_left(base_ranks, cut - shift)
         inserted = self.edit.ins_tag_ids.get(tag, ())
-        base_list = self.base.labels_with_tag(tag)
-        if not inserted and tag not in self.edit.gone_tags:
-            result = base_list  # untouched tag: share the base list
+        if inserted or hi > lo:
+            labels = base_labels[:lo] + list(inserted) + base_labels[hi:]
         else:
-            result = self._patched(base_list, inserted)
-        self._tag_labels[tag] = result
-        return result
+            labels = base_labels
+        if labels is base_labels and lo == len(base_ranks):
+            ranks = base_ranks
+        else:
+            ins_rank = self.edit.ins_rank
+            ranks = base_ranks[:lo]
+            ranks.extend(ins_rank[nid] for nid in inserted)
+            ranks.extend(rank + shift for rank in base_ranks[hi:])
+        self._tag_labels[tag] = labels
+        self._tag_rank_arrays[tag] = ranks
+        return labels, ranks
 
     def _kind_list(self, key: str, base_list: List[int],
                    inserted: Sequence[int], touched_by_delete: bool) -> List[int]:
@@ -562,13 +604,32 @@ class DeltaView(NodeStore):
             self.edit.ins_structural, bool(self.edit.gone),
         )
 
-    def tag_ranks(self, tag: str) -> Sequence[int]:
-        self.stats.columnar_tag_scans += 1
-        cached = self._tag_rank_arrays.get(tag)
+    def parent_rank_array(self) -> Sequence[int]:
+        """rank → parent rank, spliced from the base's column: the
+        head as is (a node before the cut has its parent before it),
+        the inserted block's parents, then the tail with every parent
+        rank at or past the cut moved by ``shift``."""
+        cached = self._parent_ranks
         if cached is None:
-            rank_of = self.rank_of
-            cached = array("q", (rank_of(lb) for lb in self.labels_with_tag(tag)))
-            self._tag_rank_arrays[tag] = cached
+            base_parents = self.base.parent_rank_array()
+            cut = self._cut
+            shift = self._shift
+            cached = base_parents[:cut]
+            if shift > 0:
+                edit = self.edit
+                ins_rank = edit.ins_rank
+                ins_parent = edit.ins_parent
+                outer = self.rank_of(edit.edit_parent)
+                cached.extend(
+                    ins_rank.get(ins_parent[nid], outer) for nid in edit.ins_ids
+                )
+                tail = base_parents[cut:]
+            else:
+                tail = base_parents[cut - shift :]
+            cached.extend(
+                [parent + shift if parent >= cut else parent for parent in tail]
+            )
+            self._parent_ranks = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -671,6 +732,7 @@ class DeltaView(NodeStore):
         its candidate lists directly any more."""
         self._tag_labels = {}
         self._tag_rank_arrays = {}
+        self._parent_ranks = None
         self._kind_labels = {}
         self._value_memo = {}
 

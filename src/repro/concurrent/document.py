@@ -54,7 +54,7 @@ from repro.concurrent.delta import (
 )
 from repro.concurrent.epoch import EpochReclaimer
 from repro.concurrent.rwlock import ReadWriteLock
-from repro.concurrent.snapshot import SnapshotEvaluator, StructuralView
+from repro.concurrent.snapshot import StructuralView
 from repro.core.scheme import Labeling
 from repro.core.update import RelabelReport
 from repro.errors import NumberingError, StorageError
@@ -82,8 +82,8 @@ class PinnedSnapshot:
     """A reader's lease on one generation's view.
 
     Context manager; release is idempotent. The evaluator is shared
-    per generation — both evaluator kinds keep no mutable per-query
-    state, so one instance serves every thread of a batch.
+    per generation — it keeps no mutable per-query state, so one
+    instance serves every thread of a batch.
     """
 
     def __init__(self, document: "ConcurrentDocument", view: AnyView):
@@ -105,10 +105,9 @@ class PinnedSnapshot:
         return self.view
 
     def evaluator(self):
-        """The generation's shared evaluator: a
-        :class:`SnapshotEvaluator` for a full view, a
-        :class:`~repro.store.evaluator.StoreEvaluator` for a delta
-        view (which has no snapshot dicts to read directly)."""
+        """The generation's shared
+        :class:`~repro.store.evaluator.StoreEvaluator`, reading the
+        full or delta view through its rank columns."""
         return self.document.evaluator_for(self.view)
 
     def select(self, xpath: str, context: Optional[XmlNode] = None) -> List[XmlNode]:
@@ -244,10 +243,7 @@ class ConcurrentDocument:
             evaluator = self._evaluators.get(generation)
         if evaluator is not None:
             return evaluator
-        if isinstance(view, StructuralView):
-            built = SnapshotEvaluator(view, stats=self.stats)
-        else:
-            built = StoreEvaluator(view, stats=self.stats)
+        built = StoreEvaluator(view, stats=self.stats)
         with self._views_lock:
             return self._evaluators.setdefault(generation, built)
 

@@ -4,8 +4,8 @@ Three fan-out shapes, all reading one pinned generation so results are
 bit-identical to a single-threaded run:
 
 * :meth:`ParallelQueryExecutor.select_batch` — a batch of XPath
-  queries spread across a thread pool, one shared (stateless)
-  snapshot evaluator;
+  queries spread across a thread pool, one shared store evaluator
+  (it keeps no per-query state);
 * :meth:`ParallelQueryExecutor.scan_tag` — one per-tag candidate list
   split into rank-contiguous chunks, each chunk filtered for
   containment under the context node concurrently, merged in document

@@ -17,9 +17,10 @@ registered scheme, and a scheme whose arithmetic is wrong produces a
 visibly wrong view. The differential test harness leans on exactly
 that property.
 
-:class:`SnapshotEvaluator` plugs a view under the shared
-:class:`~repro.query.evaluator.BaseEvaluator` semantics. It keeps no
-mutable per-query state, so one instance may serve many threads.
+:class:`~repro.store.evaluator.StoreEvaluator` reads a view through
+the :class:`~repro.store.base.NodeStore` protocol, on its rank columns
+wherever a step allows; the view itself is never mutated after the
+build, so one evaluator may serve many threads.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.columnar import NO_RANK
 from repro.errors import NoParentError, QueryError, UnknownLabelError
-from repro.query.evaluator import BaseEvaluator
-from repro.query.stats import QueryStats
 from repro.store.base import NodeRecord, NodeStore
 from repro.xmltree.node import NodeKind, XmlNode
 
@@ -64,7 +63,6 @@ class StructuralView(NodeStore):
         "end",
         "parent",
         "children",
-        "position",
         "attr_children",
         "attrs",
         "ids_by_rank",
@@ -94,8 +92,6 @@ class StructuralView(NodeStore):
         self.parent: Dict[int, Optional[int]] = {}
         #: node_id → structural children ids in document order
         self.children: Dict[int, List[int]] = {}
-        #: node_id → position among its structural siblings
-        self.position: Dict[int, int] = {}
         #: node_id → materialised attribute-node children ids
         self.attr_children: Dict[int, List[int]] = {}
         #: node_id → frozen ((name, value), ...) attribute pairs
@@ -181,17 +177,11 @@ class StructuralView(NodeStore):
             pid = view.parent[nid]
             if kind is NodeKind.ATTRIBUTE:
                 if pid is not None:
-                    bucket = view.attr_children.setdefault(pid, [])
-                    view.position[nid] = len(bucket)
-                    bucket.append(nid)
+                    view.attr_children.setdefault(pid, []).append(nid)
                 contribs.append("")
             else:
                 if pid is not None:
-                    siblings = view.children[pid]
-                    view.position[nid] = len(siblings)
-                    siblings.append(nid)
-                else:
-                    view.position[nid] = 0
+                    view.children[pid].append(nid)
                 view.structural_ids.append(nid)
                 if kind is NodeKind.ELEMENT:
                     view.element_ids.append(nid)
@@ -238,29 +228,11 @@ class StructuralView(NodeStore):
         return view
 
     # ------------------------------------------------------------------
-    def node(self, nid: int) -> XmlNode:
-        return self.node_by_id[nid]
-
-    def nodes(self, ids: Sequence[int]) -> List[XmlNode]:
-        node_by_id = self.node_by_id
-        return [node_by_id[nid] for nid in ids]
-
     def __len__(self) -> int:
         return len(self.node_by_id)
 
     def __contains__(self, nid: int) -> bool:
         return nid in self.node_by_id
-
-    def descendant_slice(self, nid: int, or_self: bool = False) -> List[int]:
-        """Structural descendants of *nid* in document order: one
-        bisect into the structural rank column, one list slice — no
-        per-node kind checks."""
-        self.stats.columnar_slices += 1
-        structural_ranks = self.structural_ranks
-        locate = bisect_left if or_self else bisect_right
-        lo = locate(structural_ranks, self.rank[nid])
-        hi = bisect_right(structural_ranks, self.end[nid])
-        return self.structural_ids[lo:hi]
 
     # ------------------------------------------------------------------
     # NodeStore protocol (labels are node_ids)
@@ -352,7 +324,15 @@ class StructuralView(NodeStore):
         return self.rank
 
     def descendant_labels(self, label: int, or_self: bool = False) -> List[int]:
-        return self.descendant_slice(label, or_self=or_self)
+        """Structural descendants of *label* in document order: one
+        bisect into the structural rank column, one list slice — no
+        per-node kind checks."""
+        self.stats.columnar_slices += 1
+        structural_ranks = self.structural_ranks
+        locate = bisect_left if or_self else bisect_right
+        lo = locate(structural_ranks, self.rank[label])
+        hi = bisect_right(structural_ranks, self.end[label])
+        return self.structural_ids[lo:hi]
 
     def structural_labels_between(self, low: int, high: int) -> List[int]:
         """Structural labels with rank in ``[low, high]`` (inclusive),
@@ -370,156 +350,3 @@ class StructuralView(NodeStore):
             f"<StructuralView {self.scheme_name} gen={self.generation} "
             f"nodes={len(self.node_by_id)}>"
         )
-
-
-class SnapshotEvaluator(BaseEvaluator):
-    """XPath evaluation against a frozen :class:`StructuralView`.
-
-    Every axis, order comparison and string-value is answered from the
-    view's dicts; the live tree is never consulted, so this evaluator
-    is safe to run while a writer mutates the document. It also keeps
-    no mutable caches, so a single instance may be shared by all the
-    threads of a batch.
-    """
-
-    strategy_name = "snapshot"
-    route_name = "snapshot"
-
-    def __init__(self, view: StructuralView, stats: Optional[QueryStats] = None):
-        # Deliberately no super().__init__: BaseEvaluator would bind a
-        # live tree; everything it reads through self.tree is
-        # overridden below.
-        self.view = view
-        self.tree = None  # any accidental live-tree access fails loudly
-        self.stats = stats if stats is not None else QueryStats()
-        self.tracer = None
-        self._doc_order = dict(view.rank)
-        self.document_node = XmlNode("#document", NodeKind.DOCUMENT)
-
-    # -- BaseEvaluator hooks ------------------------------------------------
-    def doc_order(self) -> Dict[int, int]:
-        return self._doc_order
-
-    def select(self, expr, context: Optional[XmlNode] = None) -> List[XmlNode]:
-        context = context if context is not None else self.view.root
-        result = self._eval(expr, context, 1, 1)
-        if not isinstance(result, list):
-            raise QueryError(f"expression yields a {type(result).__name__}, not nodes")
-        return result
-
-    def evaluate(self, expr, context: Optional[XmlNode] = None):
-        context = context if context is not None else self.view.root
-        return self._eval(expr, context, 1, 1)
-
-    def string_value_of(self, node: XmlNode) -> str:
-        frozen = self.view.string_values.get(node.node_id)
-        if frozen is not None:
-            return frozen
-        # Transient attribute node synthesized by this evaluator: its
-        # text was frozen at synthesis time.
-        return node.text or ""
-
-    def _document_axis(self, axis: str) -> List[XmlNode]:
-        view = self.view
-        if axis == "child":
-            return [view.root]
-        if axis == "descendant":
-            return view.nodes(view.structural_ids)
-        if axis == "descendant-or-self":
-            return [self.document_node, *view.nodes(view.structural_ids)]
-        if axis == "self":
-            return [self.document_node]
-        return []
-
-    # -- axes ---------------------------------------------------------------
-    def axis_nodes(self, node: XmlNode, axis: str) -> List[XmlNode]:
-        view = self.view
-        nid = node.node_id
-        if axis == "attribute":
-            return self._attribute_nodes(node)
-        if nid not in view.node_by_id:
-            return self._transient_axis(node, axis)
-        if axis == "self":
-            return [node]
-        if axis == "parent":
-            pid = view.parent[nid]
-            return [view.node(pid)] if pid is not None else []
-        if axis in ("ancestor", "ancestor-or-self"):
-            chain: List[XmlNode] = [node] if axis == "ancestor-or-self" else []
-            pid = view.parent[nid]
-            while pid is not None:
-                chain.append(view.node(pid))
-                pid = view.parent[pid]
-            chain.reverse()  # root first, matching the navigational axes
-            return chain
-        if axis == "child":
-            return view.nodes(view.children[nid])
-        if axis in ("descendant", "descendant-or-self"):
-            return view.nodes(
-                view.descendant_slice(nid, or_self=axis == "descendant-or-self")
-            )
-        if axis in ("following-sibling", "preceding-sibling"):
-            pid = view.parent[nid]
-            if pid is None:
-                return []
-            siblings = view.children[pid]
-            pos = view.position[nid]
-            if axis == "following-sibling":
-                return view.nodes(siblings[pos + 1 :])
-            return view.nodes(siblings[:pos])
-        if axis == "following":
-            after = view.end[nid] + 1
-            return view.nodes(
-                [
-                    i
-                    for i in view.ids_by_rank[after:]
-                    if view.node_by_id[i].kind is not NodeKind.ATTRIBUTE
-                ]
-            )
-        if axis == "preceding":
-            ancestors = set()
-            pid = view.parent[nid]
-            while pid is not None:
-                ancestors.add(pid)
-                pid = view.parent[pid]
-            before = view.rank[nid]
-            return view.nodes(
-                [
-                    i
-                    for i in view.ids_by_rank[:before]
-                    if i not in ancestors
-                    and view.node_by_id[i].kind is not NodeKind.ATTRIBUTE
-                ]
-            )
-        from repro.errors import UnsupportedFeatureError
-
-        raise UnsupportedFeatureError(f"unsupported axis {axis!r}")
-
-    def _transient_axis(self, node: XmlNode, axis: str) -> List[XmlNode]:
-        """Axes from a synthesized attribute node (outside the view)."""
-        if axis == "self":
-            return [node]
-        parent = node.parent
-        if parent is None:
-            return []
-        if axis == "parent":
-            return [parent]
-        if axis in ("ancestor", "ancestor-or-self"):
-            chain = self.axis_nodes(parent, "ancestor-or-self")
-            if axis == "ancestor-or-self":
-                chain = [*chain, node]
-            return chain
-        return []
-
-    def _attribute_nodes(self, node: XmlNode) -> List[XmlNode]:
-        view = self.view
-        nid = node.node_id
-        materialised = view.attr_children.get(nid)
-        if materialised:
-            return view.nodes(materialised)
-        created: List[XmlNode] = []
-        for name, value in view.attrs.get(nid, ()):
-            attr = XmlNode(name, NodeKind.ATTRIBUTE, text=value)
-            attr.parent = node  # navigable but not inserted as a child
-            created.append(attr)
-        return created

@@ -368,7 +368,7 @@ class XPathEngine:
             return plan
         for path in paths:
             path_plan = PathPlan(expression=str(path), absolute=path.absolute)
-            for index, step in enumerate(path.steps):
+            for index, step in enumerate(evaluator.path_steps(path)):
                 route, estimate = evaluator.plan_route(step)
                 path_plan.steps.append(
                     StepPlan(

@@ -58,6 +58,13 @@ Value = Union[List[XmlNode], str, float, bool]
 
 _REVERSE_AXES = frozenset({"ancestor", "ancestor-or-self", "preceding", "preceding-sibling", "parent"})
 
+#: a batched child step scans every candidate with a matching test;
+#: when the frontier is much smaller than that candidate list
+#: (single-context predicate evaluation, typically) the per-node path
+#: is cheaper — this factor picks the crossover for every evaluator
+#: with a batched child step
+CHILD_SCAN_FACTOR = 16
+
 
 def string_value(node: XmlNode) -> str:
     """XPath string-value of a node."""
@@ -86,8 +93,8 @@ class BaseEvaluator:
     """Shared expression semantics; subclasses supply the axis step."""
 
     #: cooperative-cancellation budget for the running query; a class
-    #: attribute (not set in __init__) because StoreEvaluator and
-    #: SnapshotEvaluator deliberately skip super().__init__
+    #: attribute (not set in __init__) because StoreEvaluator
+    #: deliberately skips super().__init__
     deadline = None
 
     def __init__(self, tree: XmlTree, stats: Optional[QueryStats] = None):
@@ -199,14 +206,22 @@ class BaseEvaluator:
             return self._eval_function(expr, node, position, size)
         raise QueryError(f"cannot evaluate {expr!r}")
 
+    def path_steps(self, path: LocationPath) -> Sequence[Step]:
+        """The steps this evaluator runs for *path* — the literal
+        steps here; an evaluator may rewrite them into an equivalent,
+        cheaper sequence. EXPLAIN reads the same hook, so its rows
+        describe the steps that actually run."""
+        return path.steps
+
     def _eval_path(self, path: LocationPath, context: XmlNode) -> List[XmlNode]:
         current = [self.document_node] if path.absolute else [context]
+        steps = self.path_steps(path)
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             # The zero-instrumentation hot path: no span machinery, no
             # attribute stringification. A disabled (null) tracer lands
             # here too, so "tracing off" costs one extra branch.
-            for step in path.steps:
+            for step in steps:
                 current = self._eval_step(current, step)
             return current
         parent = tracer.current
@@ -218,7 +233,7 @@ class BaseEvaluator:
             # zero-instrumentation branch.
             self.tracer = None
             try:
-                for step in path.steps:
+                for step in steps:
                     current = self._eval_step(current, step)
                 return current
             finally:
@@ -228,7 +243,7 @@ class BaseEvaluator:
         # each step's test and predicate count. The path attribute
         # stays a raw AST node — exporters stringify it lazily.
         with tracer.span("evaluator.path", path=path):
-            for index, step in enumerate(path.steps):
+            for index, step in enumerate(steps):
                 with tracer.span(
                     "evaluator.step",
                     index=index,
@@ -540,11 +555,6 @@ class SchemeEvaluator(BaseEvaluator):
     )
     #: per-(node, axis) memo entries kept before the cache stops growing
     _AXIS_CACHE_LIMIT = 8192
-    #: a batched child step scans every candidate with a matching test;
-    #: when the frontier is much smaller than that candidate list
-    #: (single-context predicate evaluation, typically) the memoised
-    #: per-node path is cheaper — this factor picks the crossover
-    _CHILD_SCAN_FACTOR = 16
 
     def __init__(
         self,
@@ -774,7 +784,7 @@ class SchemeEvaluator(BaseEvaluator):
             frontier = len(context) + (1 if has_doc else 0)
             if not frontier:
                 return []
-            if len(candidates) > self._CHILD_SCAN_FACTOR * frontier:
+            if len(candidates) > CHILD_SCAN_FACTOR * frontier:
                 return None  # candidate scan dearer than per-node memo
             # parenthood from the columnar parent-rank column: one
             # indexed array load per candidate, no label arithmetic

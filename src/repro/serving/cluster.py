@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.concurrent.snapshot import SnapshotEvaluator, StructuralView
+from repro.concurrent.snapshot import StructuralView
 from repro.errors import (
     QueryError,
     SiteUnavailableError,
@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.query.ast import LocationPath, NodeTest, Union_
 from repro.serving.ring import ConsistentHashRing
 from repro.serving.shards import RankOwnership, Shard
+from repro.store.evaluator import StoreEvaluator
 from repro.xmltree.node import NodeKind, XmlNode
 
 __all__ = ["MergeKey", "RoutingSynopsis", "ServingSite", "ShardedCluster"]
@@ -98,13 +99,13 @@ class ServingSite:
         self.down = False
         self.messages_received = 0
         self._views: Dict[str, StructuralView] = {}
-        self._evaluators: Dict[str, SnapshotEvaluator] = {}
+        self._evaluators: Dict[str, StoreEvaluator] = {}
         self._shards: Dict[str, Shard] = {}
 
     def attach(self, doc: str, view: StructuralView, shard: Shard) -> None:
         self._views[doc] = view
         if doc not in self._evaluators:
-            self._evaluators[doc] = SnapshotEvaluator(view)
+            self._evaluators[doc] = StoreEvaluator(view)
         self._shards[shard.shard_id] = shard
 
     def detach(self, shard_id: str) -> Optional[Shard]:
@@ -113,7 +114,7 @@ class ServingSite:
     def hosted_shards(self) -> List[str]:
         return sorted(self._shards)
 
-    def evaluator_for(self, doc: str) -> SnapshotEvaluator:
+    def evaluator_for(self, doc: str) -> StoreEvaluator:
         try:
             return self._evaluators[doc]
         except KeyError:

@@ -21,11 +21,74 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, UnknownLabelError, UnsupportedFeatureError
-from repro.query.ast import NodeTest, Step
-from repro.query.evaluator import BaseEvaluator, node_test_matches
+from repro.query.ast import BinaryOp, FunctionCall, LocationPath, NodeTest, Step
+from repro.query.evaluator import CHILD_SCAN_FACTOR, BaseEvaluator, node_test_matches
 from repro.query.stats import QueryStats
 from repro.store.base import Label, NodeStore
 from repro.xmltree.node import NodeKind, XmlNode
+
+#: boolean-valued functions: as a predicate they filter, never index
+_BOOLEAN_FUNCTIONS = frozenset({"not", "true", "false", "contains", "starts-with"})
+
+
+def _no_position(expr) -> bool:
+    """True when *expr* calls neither ``position()`` nor ``last()``
+    outside a nested location path (a nested path counts positions in
+    its own contexts)."""
+    if isinstance(expr, FunctionCall):
+        if expr.name in ("position", "last"):
+            return False
+        return all(_no_position(arg) for arg in expr.arguments)
+    if isinstance(expr, BinaryOp):
+        return _no_position(expr.left) and _no_position(expr.right)
+    return True
+
+
+def position_free(predicate) -> bool:
+    """True when *predicate* keeps the same candidates whatever their
+    positions: a location path, a comparison, ``and``/``or`` or a
+    boolean function, with no ``position()``/``last()`` outside a
+    nested path. A number, or anything number-valued such as
+    ``count(x)``, is a position test and is never position-free."""
+    if isinstance(predicate, LocationPath):
+        return True
+    if isinstance(predicate, BinaryOp) or (
+        isinstance(predicate, FunctionCall) and predicate.name in _BOOLEAN_FUNCTIONS
+    ):
+        return _no_position(predicate)
+    return False
+
+
+def fuse_descendant_steps(steps: Sequence[Step]) -> Sequence[Step]:
+    """Rewrite each ``descendant-or-self::node()`` (no predicates)
+    followed by ``child::T[p...]`` into ``descendant::T[p...]`` when
+    every ``p`` is :func:`position_free` — the abbreviated ``//T`` as
+    one descendant interval scan. Positions differ between the two
+    forms (siblings versus all descendants), so positional predicates
+    keep the literal steps. Returns *steps* itself when nothing fuses."""
+    fused: Optional[List[Step]] = None
+    index = 0
+    count = len(steps)
+    while index < count:
+        step = steps[index]
+        if (
+            index + 1 < count
+            and step.axis == "descendant-or-self"
+            and step.test.node_type == "node"
+            and not step.predicates
+            and steps[index + 1].axis == "child"
+            and all(position_free(p) for p in steps[index + 1].predicates)
+        ):
+            if fused is None:
+                fused = list(steps[:index])
+            child = steps[index + 1]
+            fused.append(Step("descendant", child.test, child.predicates))
+            index += 2
+            continue
+        if fused is not None:
+            fused.append(step)
+        index += 1
+    return steps if fused is None else tuple(fused)
 
 
 class StoreEvaluator(BaseEvaluator):
@@ -41,8 +104,16 @@ class StoreEvaluator(BaseEvaluator):
     predicate-free child/descendant steps run **set-at-a-time** over
     raw rank arrays — per-tag candidate ranks against the whole context
     frontier with a running-max interval scan — instead of one
-    axis call per context node. Wrapper stores that charge per call
-    (the resilient store) keep the per-node path and its accounting.
+    axis call per context node. A child step whose candidates
+    outnumber its frontier by more than ``CHILD_SCAN_FACTOR`` takes
+    the per-node path instead (one context's children are cheaper to
+    list than every candidate is to scan). Wrapper stores that charge
+    per call (the resilient store) keep the per-node path and its
+    accounting.
+
+    ``//T[p...]`` runs as one ``descendant::T[p...]`` step when every
+    predicate is position-free (:func:`fuse_descendant_steps`); the
+    navigational oracle keeps the literal steps.
     """
 
     strategy_name = "store"
@@ -90,6 +161,9 @@ class StoreEvaluator(BaseEvaluator):
         # materialise, and sort_nodes must see those entries.
         return self.store.order_by_id()
 
+    def path_steps(self, path: LocationPath) -> Sequence[Step]:
+        return fuse_descendant_steps(path.steps)
+
     def select(self, expr, context: Optional[XmlNode] = None) -> List[XmlNode]:
         if context is None:
             context = self.store.node_for(self.store.root_label())
@@ -130,11 +204,12 @@ class StoreEvaluator(BaseEvaluator):
         return [node_for(label) for label in labels]
 
     # -- batched fast path --------------------------------------------------
-    def _candidate_arrays(
-        self, test: NodeTest
-    ) -> Optional[Tuple[List[Label], Sequence[int]]]:
-        """(labels, ranks) that can satisfy *test* — parallel sequences
-        in document-rank order, cached per (store, generation)."""
+    def _candidates(self, test: NodeTest) -> Optional[List]:
+        """``[labels, ranks]`` that can satisfy *test* — parallel
+        sequences in document-rank order, cached per (store,
+        generation). Per-tag ranks come from the store's columns;
+        per-kind ranks stay None until :meth:`_candidate_ranks` needs
+        them, because only a rank-filtered step reads them."""
         store = self.store
         cache_key = (id(store), store.generation)
         bucket = self._candidate_cache.get(cache_key)
@@ -163,22 +238,24 @@ class StoreEvaluator(BaseEvaluator):
             return cached
         self.stats.count("candidate_cache_misses")
         if node_type is None and test.name is not None:
-            labels = store.labels_with_tag(test.name)
-            ranks: Sequence[int] = store.tag_ranks(test.name)
+            entry = [store.labels_with_tag(test.name), store.tag_ranks(test.name)]
+        elif node_type is None:
+            entry = [store.element_labels(), None]
+        elif node_type == "node":
+            entry = [store.structural_labels(), None]
+        elif node_type == "text":
+            entry = [store.text_labels(), None]
         else:
-            if node_type is None:
-                labels = store.element_labels()
-            elif node_type == "node":
-                labels = store.structural_labels()
-            elif node_type == "text":
-                labels = store.text_labels()
-            else:
-                labels = store.comment_labels()
-            rank_of = store.rank_of
-            ranks = array("q", (rank_of(lb) for lb in labels))
-        pair = (labels, ranks)
-        bucket[token] = pair
-        return pair
+            entry = [store.comment_labels(), None]
+        bucket[token] = entry
+        return entry
+
+    def _candidate_ranks(self, entry: List) -> Sequence[int]:
+        ranks = entry[1]
+        if ranks is None:
+            rank_of = self.store.rank_of
+            ranks = entry[1] = array("q", (rank_of(lb) for lb in entry[0]))
+        return ranks
 
     def evict_generation(self, generation: int) -> int:
         """Drop every cached candidate array built for *generation*.
@@ -221,6 +298,7 @@ class StoreEvaluator(BaseEvaluator):
                     # one weighted cancellation point per batched step
                     self.deadline.tick(len(result))
                 return result
+        self.stats.count("fallback_steps")
         return super()._eval_step(nodes, step)
 
     def _eval_step_pushdown(
@@ -259,7 +337,8 @@ class StoreEvaluator(BaseEvaluator):
     ) -> Optional[List[XmlNode]]:
         """Set-at-a-time step over raw rank arrays; None means fall
         back to the per-node path (unlabelable context, inexpressible
-        test, missing parent column)."""
+        test, missing parent column, or a child step whose candidates
+        outnumber its frontier past the crossover)."""
         store = self.store
         has_doc = False
         labels: List[Label] = []
@@ -272,21 +351,25 @@ class StoreEvaluator(BaseEvaluator):
                     labels.append(label_for(node))
         except UnknownLabelError:
             return None  # transient attribute context
-        pair = self._candidate_arrays(step.test)
-        if pair is None:
+        entry = self._candidates(step.test)
+        if entry is None:
             return None
-        candidates, candidate_ranks = pair
+        candidates = entry[0]
         axis = step.axis
 
         if axis == "child":
+            context = set(labels)
+            frontier = len(context) + (1 if has_doc else 0)
+            if not frontier:
+                return []
+            if len(candidates) > CHILD_SCAN_FACTOR * frontier:
+                return None  # candidate scan dearer than per-node children
             parent_ranks = store.parent_rank_array()
             if parent_ranks is None:
                 return None
-            if not labels and not has_doc:
-                return []
-            context_ranks = {store.rank_of(lb) for lb in set(labels)}
+            context_ranks = {store.rank_of(lb) for lb in context}
             kept: List[Label] = []
-            for position, cand_rank in enumerate(candidate_ranks):
+            for position, cand_rank in enumerate(self._candidate_ranks(entry)):
                 parent_rank = parent_ranks[cand_rank]
                 if parent_rank < 0:
                     if has_doc:  # the root element, child of the doc node
@@ -320,7 +403,7 @@ class StoreEvaluator(BaseEvaluator):
             prefix_max.append(best)
         locate = bisect_right if or_self else bisect_left
         kept = []
-        for position, cand_rank in enumerate(candidate_ranks):
+        for position, cand_rank in enumerate(self._candidate_ranks(entry)):
             j = locate(span_ranks, cand_rank) - 1
             if j >= 0 and prefix_max[j] >= cand_rank:
                 kept.append(candidates[position])

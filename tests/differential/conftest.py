@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.baselines.registry import get_scheme
-from repro.concurrent import SnapshotEvaluator, StructuralView
+from repro.concurrent import StructuralView
 from repro.errors import UnknownLabelError
 from repro.storage.database import XmlDatabase, label_key
 from repro.store import PagedNodeStore, SqliteNodeStore, StoreEvaluator
@@ -147,7 +147,7 @@ def scheme_view(corpus: str, scheme: str) -> StructuralView:
 
 
 def snapshot_select(corpus: str, scheme: str, query: str) -> List:
-    evaluator = SnapshotEvaluator(scheme_view(corpus, scheme))
+    evaluator = StoreEvaluator(scheme_view(corpus, scheme))
     return evaluator.select(parse_xpath(query))
 
 

@@ -1,6 +1,6 @@
 """Property: a chained delta view is indistinguishable from a full
-rebuild — node-for-node on every protocol primitive, and axis-for-axis
-through the evaluator — before and after compaction.
+rebuild — node-for-node on every protocol primitive and rank column,
+and axis-for-axis through the evaluator — before and after compaction.
 
 Hypothesis drives random update plans (insert / delete at random
 positions) against a :class:`ConcurrentDocument` with a deliberately
@@ -29,6 +29,10 @@ AXIS_QUERIES = (
     "//group/child::node()",
     "//record/..",
 )
+
+#: every tag an edit plan below inserts; a tag whose last element was
+#: deleted must read back empty from the delta view too
+EDIT_TAGS = frozenset({"item", "entry", "fresh", "leaf"})
 
 EDITS = st.lists(
     st.sampled_from(["insert", "insert", "delete"]),  # bias toward growth
@@ -60,6 +64,14 @@ def _assert_view_equals_rebuild(doc):
             ref_record = reference.record(label)
             assert record.kind == ref_record.kind
             assert record.tag == ref_record.tag
+        # the rank columns the batched evaluator scans: spliced per
+        # layer on a delta view, built from scratch on the reference
+        assert list(view.parent_rank_array()) == list(reference.parent_rank_array())
+        for tag in set(reference.tag_ids) | EDIT_TAGS:
+            assert list(view.tag_ranks(tag)) == list(reference.tag_ranks(tag)), tag
+            assert list(view.labels_with_tag(tag)) == list(
+                reference.labels_with_tag(tag)
+            ), tag
         ref_eval = StoreEvaluator(reference, stats=QueryStats())
         snap_eval = snap.evaluator()
         for query in AXIS_QUERIES:

@@ -2,11 +2,14 @@
 
 import pytest
 
+import repro.store.evaluator as store_evaluator
 from repro.baselines import get_scheme, scheme_names
+from repro.concurrent import StructuralView
 from repro.core.columnar import NO_RANK, ColumnarIndex
 from repro.core.rankindex import RankIndex
 from repro.errors import NumberingError
 from repro.generator import random_document
+from repro.query.engine import XPathEngine
 from repro.query.parser import parse_xpath
 from repro.store import MemoryNodeStore, StoreEvaluator
 from repro.xmltree import element, parse
@@ -184,3 +187,95 @@ class TestStoreWiring:
         labeling.insert(tree.root.children[0], 0, element("c"))
         store.refresh()
         assert len(evaluator.select(expr)) == 2
+
+
+ROUTE_DOC = """<site><people>
+<person><name>Alice</name></person>
+<person><name>Bob</name></person>
+<person><name>Cara</name></person>
+</people><regions><africa>
+<item><name>Lamp</name></item><item><name>Desk</name></item>
+</africa><asia><item><name>Vase</name></item></asia></regions></site>"""
+
+
+class TestStepRoutes:
+    """Every StoreEvaluator step is counted by the route it took."""
+
+    def _view_evaluator(self):
+        labeling = get_scheme("ruid2").build(parse(ROUTE_DOC))
+        return StoreEvaluator(StructuralView.from_labeling(labeling))
+
+    def test_positional_child_step_counts_a_fallback(self):
+        evaluator = self._view_evaluator()
+        result = evaluator.select(parse_xpath("//item[1]"))
+        assert [n.tag for n in result] == ["item", "item"]
+        assert evaluator.stats.fallback_steps >= 1
+
+    def test_predicate_free_child_path_is_batched_only(self):
+        evaluator = self._view_evaluator()
+        result = evaluator.select(parse_xpath("/site/people/person"))
+        assert len(result) == 3
+        assert evaluator.stats.batched_steps == 3
+        assert evaluator.stats.fallback_steps == 0
+
+    def test_child_crossover_falls_back_with_the_same_answer(self, monkeypatch):
+        evaluator = self._view_evaluator()
+        expr = parse_xpath("/site/people/person/name")
+        batched = [n.node_id for n in evaluator.select(expr)]
+        monkeypatch.setattr(store_evaluator, "CHILD_SCAN_FACTOR", 0)
+        before = evaluator.stats.fallback_steps
+        crossed = [n.node_id for n in evaluator.select(expr)]
+        assert crossed == batched
+        assert evaluator.stats.fallback_steps > before
+
+
+class TestDescendantFusion:
+    """``//T[p]`` runs as ``descendant::T[p]`` only when no predicate
+    depends on the candidate's position."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "//name",
+            ".//name",
+            "//person[name]",
+            "//item[name = 'Desk']",
+            "//item[not(name = 'Desk') and name]",
+            "//item[contains(name, 'a')]",
+            "//item[name[1]]",
+            "//item[count(name) > 0]",
+        ],
+    )
+    def test_position_free_steps_fuse(self, query):
+        path = parse_xpath(query)
+        fused = store_evaluator.fuse_descendant_steps(path.steps)
+        assert len(fused) == len(path.steps) - 1
+        assert fused[-1].axis == "descendant"
+        assert fused[-1].predicates == path.steps[-1].predicates
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "//item[1]",
+            "//item[last()]",
+            "//item[position() = 2]",
+            "//item[count(name)]",
+            "//item['x']",
+            "//item[not(position() = 1)]",
+            "//@id",
+            "/descendant-or-self::node()[name]/item",
+        ],
+    )
+    def test_positional_or_other_steps_stay_literal(self, query):
+        path = parse_xpath(query)
+        assert store_evaluator.fuse_descendant_steps(path.steps) is path.steps
+
+    def test_explain_rows_show_the_fused_steps(self):
+        labeling = get_scheme("ruid2").build(parse(ROUTE_DOC))
+        view = StructuralView.from_labeling(labeling)
+        engine = XPathEngine(None, store=view)
+        plan = engine.explain("//item[name]/name", strategy="store", analyze=True)
+        steps = plan.paths[0].steps
+        assert [step.axis for step in steps] == ["descendant", "child"]
+        assert all(step.calls == 1 for step in steps)
+        assert plan.result_count == 3
