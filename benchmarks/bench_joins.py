@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from conftest import emit, emits_table
+from conftest import best_of_interleaved, emit, emits_table
 from repro.analysis import format_table
 from repro.baselines import get_scheme
 from repro.core import Ruid2Scheme
@@ -96,8 +96,9 @@ def test_join_table(xmark_bench_tree, join_inputs):
     assert all(row[4] < row[5] for row in rows)
 
 
-def run_join_sort_table(tree, sink=emit, repeats=5):
-    """Stack-tree join: comparator-sort path vs rank-index path."""
+def run_join_sort_table(tree, sink=emit, repeats=5, trials=1, min_pass_ms=0.0):
+    """Stack-tree join: comparator-sort path vs rank-index path, timed
+    interleaved (:func:`conftest.best_of_interleaved`)."""
     persons = tree.find_by_tag("person")
     names = tree.find_by_tag("name")
     rows = []
@@ -105,18 +106,20 @@ def run_join_sort_table(tree, sink=emit, repeats=5):
         labeling = get_scheme(scheme_name).build(tree)
         a_labels = [labeling.label_of(n) for n in persons]
         d_labels = [labeling.label_of(n) for n in names]
-        labeling.rank_index()  # build outside the timed region
-        start = time.perf_counter()
-        for _ in range(repeats):
-            comparator_pairs = stack_tree_join(
-                labeling, a_labels, d_labels, use_rank_index=False
-            )
-        comparator_ms = (time.perf_counter() - start) * 1e3 / repeats
-        start = time.perf_counter()
-        for _ in range(repeats):
-            ranked_pairs = stack_tree_join(labeling, a_labels, d_labels)
-        ranked_ms = (time.perf_counter() - start) * 1e3 / repeats
-        assert ranked_pairs == comparator_pairs
+
+        def comparator():
+            return stack_tree_join(labeling, a_labels, d_labels, use_rank_index=False)
+
+        def ranked():
+            return stack_tree_join(labeling, a_labels, d_labels)
+
+        # one untimed call each: the first ranked join builds the rank
+        # and columnar indexes, which are not what this table prices
+        comparator_pairs = comparator()
+        assert ranked() == comparator_pairs
+        (comparator_ms, ranked_ms), _ = best_of_interleaved(
+            [comparator, ranked], repeats=repeats, trials=trials, min_pass_ms=min_pass_ms
+        )
         rows.append(
             (
                 scheme_name,
@@ -130,7 +133,8 @@ def run_join_sort_table(tree, sink=emit, repeats=5):
         "E14_join_sort",
         ("scheme", "pairs", "comparator_ms", "rank_ms", "speedup"),
         rows,
-        f"E14: stack-tree join, comparator sort vs rank index ({repeats}-run mean)",
+        f"E14: stack-tree join, comparator sort vs rank index "
+        f"(best of {trials} interleaved rounds)",
     )
     return rows
 
@@ -199,7 +203,9 @@ def main():
     sink = _print_only if args.quick else emit
     scale = 0.1 if args.quick else 0.3
     tree = generate_xmark(scale=scale, seed=2002)
-    join_rows = run_join_sort_table(tree, sink=sink)
+    # many short interleaved rounds: each side's best is taken from
+    # quiet moments of the same stretch of machine time
+    join_rows = run_join_sort_table(tree, sink=sink, repeats=1, trials=31, min_pass_ms=2.0)
     for scheme_name, _pairs, comparator_ms, rank_ms, _speedup in join_rows:
         assert rank_ms <= comparator_ms, (
             f"{scheme_name}: rank-index join {rank_ms}ms slower "

@@ -10,10 +10,12 @@ E12 regenerates the §4 "database file/table selection" idea: tag
 lookups routed to per-area tables via a structural pre-filter touch a
 fraction of the tables a blind scan does.
 
-E14 measures the query fast path: the legacy node-at-a-time scheme
-evaluator vs the batched set-at-a-time one (rank index + synopsis
-pruning + axis memo) vs the navigational baseline. Runs under pytest
-and as a standalone CI smoke::
+E14 measures the query fast path: the literal-step, node-at-a-time
+legacy (``StoreEvaluator(store, batched=False)``: no ``//`` fusion, no
+set-at-a-time steps) vs the default batched evaluator (rank columns +
+``//`` fusion + synopsis pruning) vs the navigational baseline, all
+over the same ``MemoryNodeStore`` columns. Runs under pytest and as a
+standalone CI smoke::
 
     python benchmarks/bench_query.py --quick
 
@@ -30,7 +32,7 @@ import time
 
 import pytest
 
-from conftest import emit, emits_table
+from conftest import best_of_interleaved, emit, emits_table
 from repro.analysis import format_table
 from repro.core import Ruid2Scheme
 from repro.generator import (
@@ -42,8 +44,10 @@ from repro.generator import (
     generate_xmark,
 )
 from repro.obs import NULL_TRACER, MetricsRegistry, SlowQueryLog, Tracer
-from repro.query import SchemeEvaluator, XPathEngine
+from repro.query import XPathEngine
 from repro.storage import XmlDatabase
+from repro.store.evaluator import StoreEvaluator
+from repro.store.memory import MemoryNodeStore
 
 
 def _print_only(experiment, headers, rows, title):
@@ -158,7 +162,7 @@ def run_fastpath_table(corpora, sink=emit, repeats=3):
         labeling = Ruid2Scheme(max_area_size=24).build(tree)
         engine = XPathEngine(tree, labeling=labeling)
         compiled = [engine.compile(q) for q in queries]
-        legacy = SchemeEvaluator(labeling, batched=False, memoize=False)
+        legacy = StoreEvaluator(MemoryNodeStore(labeling), batched=False)
         fast = engine.evaluator("ruid")
         nav = engine.evaluator("navigational")
         for evaluator in (legacy, fast, nav):  # warm every cache
@@ -197,7 +201,8 @@ def run_fastpath_table(corpora, sink=emit, repeats=3):
             "skips",
         ),
         rows,
-        f"E14: scheme evaluator fast path, full query set ({repeats}-run mean)",
+        f"E14: evaluator fast path vs literal-step legacy, full query set "
+        f"({repeats}-run mean)",
     )
     return rows
 
@@ -253,30 +258,20 @@ def test_e12_table_routing(xmark_bench_tree):
     assert all(row[3] <= row[2] for row in rows)
 
 
-def _best_of_interleaved(engines, queries, strategy="ruid", repeats=3, trials=3):
-    """Per-engine best-of-*trials* wall time (ms) for one pass of
-    *queries* (each pass averaging *repeats* runs). The engines are
-    timed round-robin within every trial so scheduler and cache drift
-    hit all of them alike — overhead ratios from back-to-back blocks
-    are dominated by run-ordering noise, not instrumentation."""
-    best = [None] * len(engines)
-    for _ in range(trials):
-        for slot, engine in enumerate(engines):
-            start = time.perf_counter()
-            for _ in range(repeats):
-                for query in queries:
-                    engine.select(query, strategy)
-            elapsed = (time.perf_counter() - start) * 1e3 / repeats
-            if best[slot] is None or elapsed < best[slot]:
-                best[slot] = elapsed
-    return best
+def _query_pass(engine, queries):
+    def run():
+        for query in queries:
+            engine.select(query)
+
+    return run
 
 
-def run_observability_table(corpora, sink=emit, repeats=3, trials=3):
+def run_observability_table(corpora, sink=emit, repeats=3, trials=3, min_pass_ms=0.0):
     """E15: the cost of watching. Three engines over one labeling:
     bare (tracer ``None`` — the zero-instrumentation hot path), no-op
     tracer (instrumented code paths, null sink), and full (live
-    tracer + metrics registry + slow-query log)."""
+    tracer + metrics registry + slow-query log), timed interleaved
+    (:func:`conftest.best_of_interleaved`)."""
     rows = []
     for corpus, tree, queries in corpora:
         labeling = Ruid2Scheme(max_area_size=24).build(tree)
@@ -289,11 +284,11 @@ def run_observability_table(corpora, sink=emit, repeats=3, trials=3):
             tree, labeling=labeling,
             tracer=tracer, registry=registry, slow_log=slow_log,
         )
-        for engine in (bare, noop, full):  # warm plan + axis caches
-            for query in queries:
-                engine.select(query)
-        bare_ms, noop_ms, full_ms = _best_of_interleaved(
-            (bare, noop, full), queries, repeats=repeats, trials=trials
+        passes = [_query_pass(engine, queries) for engine in (bare, noop, full)]
+        for run in passes:  # warm plan + candidate caches
+            run()
+        (bare_ms, noop_ms, full_ms), (_, noop_ratio, full_ratio) = best_of_interleaved(
+            passes, repeats=repeats, trials=trials, min_pass_ms=min_pass_ms
         )
         rows.append(
             (
@@ -302,8 +297,8 @@ def run_observability_table(corpora, sink=emit, repeats=3, trials=3):
                 round(bare_ms, 2),
                 round(noop_ms, 2),
                 round(full_ms, 2),
-                round((noop_ms / bare_ms - 1.0) * 100, 1),
-                round((full_ms / bare_ms - 1.0) * 100, 1),
+                round((noop_ratio - 1.0) * 100, 1),
+                round((full_ratio - 1.0) * 100, 1),
                 len(tracer.finished()) + tracer.dropped,
                 slow_log.slow_count,
             )
@@ -323,7 +318,7 @@ def run_observability_table(corpora, sink=emit, repeats=3, trials=3):
         ),
         rows,
         f"E15: observability overhead, bare vs no-op tracer vs full "
-        f"(best of {trials}, {repeats}-run mean)",
+        f"(ms: best of {trials} interleaved rounds; pct: median paired ratio)",
     )
     return rows
 
@@ -403,7 +398,7 @@ def main():
         _print_explains(corpora)
         return
     rows = run_fastpath_table(corpora, sink=sink)
-    # CI gate: the warm scheme evaluator must not be slower than the
+    # CI gate: the warm default evaluator must not be slower than the
     # navigational baseline, and must beat its own legacy form >= 2x.
     for corpus, _queries, legacy_ms, fast_ms, nav_ms, _s, _b, _k in rows:
         assert fast_ms <= nav_ms, (
@@ -412,14 +407,15 @@ def main():
         assert legacy_ms / fast_ms >= 2.0, (
             f"{corpus}: fast path only {legacy_ms / fast_ms:.1f}x over legacy"
         )
-    # quick mode lengthens each measured pass: the small documents make
-    # single passes so short that scheduler jitter would swamp the
-    # overhead percentages the gate below asserts on
+    # quick mode takes many short interleaved rounds: the overhead
+    # percentages the gate below asserts on are medians of per-round
+    # ratios, which a burst of machine noise in a few rounds cannot move
     obs_rows = run_observability_table(
         corpora,
         sink=sink,
-        repeats=10 if args.quick else 3,
-        trials=5 if args.quick else 3,
+        repeats=1 if args.quick else 3,
+        trials=41 if args.quick else 3,
+        min_pass_ms=2.0 if args.quick else 0.0,
     )
     if args.quick:
         # CI gate for the observability layer: the no-op tracer must

@@ -21,6 +21,8 @@ if _SRC not in sys.path:
 
 import functools
 import inspect
+import statistics
+import time
 
 import pytest
 
@@ -70,6 +72,47 @@ def emit(experiment: str, headers, rows, title: str) -> None:
     path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(table + "\n")
+
+
+def best_of_interleaved(passes, repeats=3, trials=3, min_pass_ms=0.0):
+    """Time each zero-argument callable in *passes* over *trials*
+    interleaved rounds; each measurement averages *repeats* calls.
+
+    Within a round the passes run back to back — in alternating order
+    from one round to the next — so drift in machine speed hits all of
+    them alike. With *min_pass_ms*, *repeats* first grows until the
+    slowest pass's measurement lasts at least that long.
+
+    Returns ``(best, ratios)``: per pass, its best-of-*trials* wall time
+    (ms), and the median over rounds of its time divided by
+    ``passes[0]``'s time in the same round. The paired median is the
+    steadier overhead estimate on a shared machine: a ratio of two
+    minima mixes the quietest moment of each pass, which need not
+    coincide."""
+    if min_pass_ms > 0:
+        slowest = 0.0
+        for run in passes:
+            start = time.perf_counter()
+            run()
+            slowest = max(slowest, (time.perf_counter() - start) * 1e3)
+        if slowest > 0:
+            repeats = max(repeats, int(min_pass_ms / slowest) + 1)
+    times = [[] for _ in passes]
+    order = list(range(len(passes)))
+    for _ in range(trials):
+        for slot in order:
+            run = passes[slot]
+            start = time.perf_counter()
+            for _ in range(repeats):
+                run()
+            times[slot].append((time.perf_counter() - start) * 1e3 / repeats)
+        order.reverse()
+    best = [min(samples) for samples in times]
+    ratios = [
+        statistics.median(mine / base for mine, base in zip(samples, times[0]))
+        for samples in times
+    ]
+    return best, ratios
 
 
 @pytest.fixture(scope="session")

@@ -365,7 +365,8 @@ class DeltaView(NodeStore):
         "_parent_ranks",
         "_kind_labels",
         "_value_memo",
-        "_order",
+        "_released",
+        "_spliced_above",
     )
 
     def __init__(
@@ -391,7 +392,10 @@ class DeltaView(NodeStore):
         self._parent_ranks: Optional[Sequence[int]] = None
         self._kind_labels: Dict[str, List[int]] = {}
         self._value_memo: Dict[int, str] = {}
-        self._order: Optional[_LazyOrder] = None
+        #: set by :meth:`release_caches` once no reader pins this layer
+        self._released = False
+        #: columns the layer above has spliced its own copy of
+        self._spliced_above: set = set()
 
     # ------------------------------------------------------------------
     # identity
@@ -566,41 +570,46 @@ class DeltaView(NodeStore):
             ranks.extend(rank + shift for rank in base_ranks[hi:])
         self._tag_labels[tag] = labels
         self._tag_rank_arrays[tag] = ranks
+        self._spliced_from_base(("tag", tag))
         return labels, ranks
 
-    def _kind_list(self, key: str, base_list: List[int],
-                   inserted: Sequence[int], touched_by_delete: bool) -> List[int]:
+    def _kind_list(self, key: str, base_labels, inserted: Sequence[int],
+                   touched_by_delete: bool) -> List[int]:
+        """The per-kind list patched from ``base_labels()``, which is
+        only called on a miss."""
         cached = self._kind_labels.get(key)
         if cached is not None:
             return cached
+        base_list = base_labels()
         if not inserted and not touched_by_delete:
             result = base_list
         else:
             result = self._patched(base_list, inserted)
         self._kind_labels[key] = result
+        self._spliced_from_base(("kind", key))
         return result
 
     def element_labels(self) -> List[int]:
         return self._kind_list(
-            "element", self.base.element_labels(),
+            "element", self.base.element_labels,
             self.edit.ins_element, self.edit.gone_has_element,
         )
 
     def text_labels(self) -> List[int]:
         return self._kind_list(
-            "text", self.base.text_labels(),
+            "text", self.base.text_labels,
             self.edit.ins_text, self.edit.gone_has_text,
         )
 
     def comment_labels(self) -> List[int]:
         return self._kind_list(
-            "comment", self.base.comment_labels(),
+            "comment", self.base.comment_labels,
             self.edit.ins_comment, self.edit.gone_has_comment,
         )
 
     def structural_labels(self) -> List[int]:
         return self._kind_list(
-            "structural", self.base.structural_labels(),
+            "structural", self.base.structural_labels,
             self.edit.ins_structural, bool(self.edit.gone),
         )
 
@@ -630,6 +639,7 @@ class DeltaView(NodeStore):
                 [parent + shift if parent >= cut else parent for parent in tail]
             )
             self._parent_ranks = cached
+            self._spliced_from_base(("parent",))
         return cached
 
     # ------------------------------------------------------------------
@@ -721,20 +731,44 @@ class DeltaView(NodeStore):
     # evaluation support
     # ------------------------------------------------------------------
     def order_by_id(self) -> "_LazyOrder":
-        order = self._order
-        if order is None:
-            order = self._order = _LazyOrder(self)
-        return order
+        # a fresh wrapper per call: caching it on the view would make a
+        # view <-> wrapper cycle, and retired chains would then wait for
+        # the cyclic collector instead of going when the last pin does
+        return _LazyOrder(self)
 
     def release_caches(self) -> None:
-        """Drop the memo caches (reclaim hook): a mid-chain view keeps
-        serving newer layers through its arithmetic, but nobody reads
-        its candidate lists directly any more."""
-        self._tag_labels = {}
-        self._tag_rank_arrays = {}
-        self._parent_ranks = None
-        self._kind_labels = {}
+        """Reclaim hook: nobody pins this layer any more, but it keeps
+        serving newer layers through its arithmetic. The value memo
+        goes now. The columns the layer above splices from — parent
+        ranks, per-tag labels and ranks, per-kind lists — go one at a
+        time, as that layer splices its own copy of each: dropping them
+        here would make the layer above re-splice them from further
+        down the chain first."""
+        self._released = True
         self._value_memo = {}
+        for column in self._spliced_above:
+            self._drop_column(column)
+        self._spliced_above = set()
+
+    def _spliced_from_base(self, column: Tuple) -> None:
+        """This layer now holds its own copy of *column*: the base may
+        drop its copy once it is released."""
+        base = self.base
+        if isinstance(base, DeltaView):
+            if base._released:
+                base._drop_column(column)
+            else:
+                base._spliced_above.add(column)
+
+    def _drop_column(self, column: Tuple) -> None:
+        kind = column[0]
+        if kind == "parent":
+            self._parent_ranks = None
+        elif kind == "tag":
+            self._tag_labels.pop(column[1], None)
+            self._tag_rank_arrays.pop(column[1], None)
+        else:
+            self._kind_labels.pop(column[1], None)
 
     def __repr__(self) -> str:
         return (

@@ -5,9 +5,10 @@ their renderings so the observability layer stays import-free of the
 engine (the engine imports *us*).
 
 An XPath plan is a list of per-path step rows — axis, node test,
-predicate count, the route the scheme evaluator will take (``batched``
-set-at-a-time, ``per-node`` fallback, ``pruned`` by the tag synopsis,
-or plain ``navigational``) and the synopsis' candidate estimate. Under
+predicate count, the route the store evaluator will take
+(``pushdown`` to a store's SQL engine, ``batched`` set-at-a-time,
+``per-node`` fallback, ``pruned`` by the store's synopsis, or plain
+``navigational``) and the node test's candidate count. Under
 ANALYZE each step additionally carries the measured input/output
 cardinalities and nanosecond timings gathered from trace spans.
 

@@ -43,12 +43,34 @@ class Span:
         self.end_ns: Optional[int] = None
 
     # -- context manager ----------------------------------------------------
+    # The tracer's bookkeeping is inlined here rather than delegated:
+    # these two methods run once per traced evaluator step, and the
+    # extra call each would cost is a measurable share of the E15
+    # full-instrumentation overhead.
     def __enter__(self) -> "Span":
-        self.tracer._enter(self)
+        tracer = self.tracer
+        self.span_id = tracer._next_id
+        tracer._next_id += 1
+        stack = tracer._stack
+        if stack:
+            self.parent_id = stack[-1].span_id
+            self.depth = len(stack)
+        stack.append(self)
+        self.start_ns = perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.tracer._exit(self)
+        self.end_ns = perf_counter_ns()
+        tracer = self.tracer
+        stack = tracer._stack
+        while stack and stack[-1] is not self:  # tolerate leaked children
+            stack.pop()
+        if stack:
+            stack.pop()
+        finished = tracer._finished
+        if len(finished) == tracer.capacity:
+            tracer.dropped += 1
+        finished.append(self)
         return False
 
     # -- attributes ---------------------------------------------------------
@@ -98,32 +120,11 @@ class Tracer:
         """A new span; enter it (``with``) to start the clock."""
         return Span(self, name, attrs)
 
-    def _enter(self, span: Span) -> None:
-        span.span_id = self._next_id
-        self._next_id += 1
-        stack = self._stack
-        if stack:
-            span.parent_id = stack[-1].span_id
-            span.depth = len(stack)
-        stack.append(span)
-        span.start_ns = perf_counter_ns()
-
-    def _exit(self, span: Span) -> None:
-        span.end_ns = perf_counter_ns()
-        stack = self._stack
-        while stack and stack[-1] is not span:  # tolerate leaked children
-            stack.pop()
-        if stack:
-            stack.pop()
-        if len(self._finished) == self.capacity:
-            self.dropped += 1
-        self._finished.append(span)
-
     def event(self, name: str, **attrs: Any) -> Span:
         """A zero-duration span recorded immediately (a point event)."""
         span = Span(self, name, attrs)
-        self._enter(span)
-        self._exit(span)
+        span.__enter__()
+        span.__exit__(None, None, None)
         return span
 
     def annotate(self, **attrs: Any) -> None:
@@ -135,10 +136,12 @@ class Tracer:
         """Like :meth:`annotate`, but first write wins — used where an
         outer dispatch must not be overwritten by nested evaluation
         (e.g. predicate sub-paths re-entering the step dispatcher)."""
-        if self._stack:
-            existing = self._stack[-1].attrs
+        stack = self._stack
+        if stack:
+            existing = stack[-1].attrs
             for key, value in attrs.items():
-                existing.setdefault(key, value)
+                if key not in existing:
+                    existing[key] = value
 
     # -- inspection ---------------------------------------------------------
     @property

@@ -13,7 +13,6 @@ from repro.query.ast import (
 from repro.query.engine import XPathEngine
 from repro.query.evaluator import (
     NavigationalEvaluator,
-    SchemeEvaluator,
     node_test_matches,
     string_value,
 )
@@ -26,7 +25,7 @@ from repro.query.joins import (
 from repro.query.lexer import tokenize
 from repro.query.parser import parse_xpath
 from repro.query.stats import QueryStats
-from repro.query.synopsis import PathSummary, TagAreaSynopsis, TagStatistics
+from repro.query.synopsis import PathSummary, TagAreaSynopsis
 from repro.query.twig import TwigMatcher, TwigNode, parse_twig
 
 __all__ = [
@@ -39,10 +38,8 @@ __all__ = [
     "Number",
     "PathSummary",
     "QueryStats",
-    "SchemeEvaluator",
     "Step",
     "TagAreaSynopsis",
-    "TagStatistics",
     "TwigMatcher",
     "TwigNode",
     "Union_",

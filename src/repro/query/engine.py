@@ -28,12 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
 from repro.query.ast import Expr, LocationPath, Union_
-from repro.query.evaluator import (
-    BaseEvaluator,
-    NavigationalEvaluator,
-    SchemeEvaluator,
-    string_value,
-)
+from repro.query.evaluator import BaseEvaluator, NavigationalEvaluator, string_value
 from repro.query.parser import parse_xpath
 from repro.query.stats import QueryStats
 from repro.xmltree.node import XmlNode
@@ -162,8 +157,11 @@ class XPathEngine:
         return compiled
 
     def evaluator(self, strategy: str = "ruid") -> BaseEvaluator:
-        """The evaluator for *strategy* ("ruid", "navigational" or
-        "store").
+        """The evaluator for *strategy*: ``"ruid"`` runs the
+        :class:`~repro.store.evaluator.StoreEvaluator` over a
+        :class:`~repro.store.memory.MemoryNodeStore` of the labeling,
+        ``"store"`` the same evaluator over the engine's own store, and
+        ``"navigational"`` walks the DOM.
 
         Evaluators are cached per strategy but dropped wholesale when
         the labeling's generation advances — a structural update must
@@ -177,8 +175,14 @@ class XPathEngine:
                     self._evaluator_generation = generation
             evaluator = self._evaluators.get(strategy)
             if evaluator is None:
+                # local import: repro.store imports this package
+                from repro.store.evaluator import StoreEvaluator
+
                 if strategy == "ruid":
-                    evaluator = SchemeEvaluator(self.labeling(), stats=self.stats)
+                    from repro.store.memory import MemoryNodeStore
+
+                    store = MemoryNodeStore(self.labeling())
+                    evaluator = StoreEvaluator(store, stats=self.stats)
                     self._evaluator_generation = self._labeling.generation
                 elif strategy == "navigational":
                     if self.tree is None:
@@ -190,9 +194,6 @@ class XPathEngine:
                             "store strategy needs a NodeStore "
                             "(pass store= to XPathEngine)"
                         )
-                    # local import: repro.store imports this package
-                    from repro.store.evaluator import StoreEvaluator
-
                     evaluator = StoreEvaluator(self.store, stats=self.stats)
                     self.store.bind(self.metrics, "store")
                 else:
@@ -265,7 +266,7 @@ class XPathEngine:
                     "query", expression=expression, strategy=strategy
                 ) as span:
                     result = evaluator.select(compiled, context)
-                    span.set(results=len(result))
+                    span.attrs["results"] = len(result)
             else:
                 result = evaluator.select(compiled, context)
         except ReproError as exc:
@@ -275,11 +276,13 @@ class XPathEngine:
             if deadline is not None:
                 evaluator.set_deadline(None)
         elapsed = perf_counter_ns() - start
-        with self._evaluator_lock:
-            histogram = self._latency_histograms.get(strategy)
-            if histogram is None:
-                histogram = self.metrics.histogram(f"query.latency_ns.{strategy}")
-                self._latency_histograms[strategy] = histogram
+        histogram = self._latency_histograms.get(strategy)
+        if histogram is None:
+            with self._evaluator_lock:
+                histogram = self._latency_histograms.get(strategy)
+                if histogram is None:
+                    histogram = self.metrics.histogram(f"query.latency_ns.{strategy}")
+                    self._latency_histograms[strategy] = histogram
         histogram.observe(elapsed)
         if error is not None:
             self._note_failure(expression, strategy, error, elapsed)
@@ -333,9 +336,10 @@ class XPathEngine:
         the measured per-step cardinalities and timings of one run.
 
         The static part reports, per location step, the route the
-        evaluator will dispatch to (``batched`` set-at-a-time,
-        ``per-node`` fallback, ``pruned`` by the tag synopsis, or
-        ``navigational``) plus the synopsis' candidate estimate. The
+        evaluator will dispatch to (``pushdown`` to the store's native
+        engine, ``batched`` set-at-a-time, ``per-node`` fallback,
+        ``pruned`` by the store's tag synopsis, or ``navigational``)
+        plus the node test's candidate count. The
         ANALYZE part executes the query under a private tracer and
         folds the resulting span tree back onto the plan: per step the
         call count, input/output node counts and wall time; the result
@@ -395,7 +399,7 @@ class XPathEngine:
         tracer = Tracer()
         previous = evaluator.tracer
         evaluator.tracer = tracer
-        # Physical counters: the evaluator's NodeStore (scheme and
+        # Physical counters: the evaluator's NodeStore (ruid and
         # store strategies) charges fetches/rank probes as it runs, so
         # a before/after delta is this query's physical footprint.
         store = getattr(evaluator, "store", None)
@@ -413,10 +417,6 @@ class XPathEngine:
             evaluator.tracer = previous
         plan.total_ns = perf_counter_ns() - start
         plan.analyzed = True
-        if store is None:
-            # SchemeEvaluator binds its MemoryNodeStore on first use —
-            # created during this very run, so every count is ours.
-            store = getattr(evaluator, "store", None)
         if store is not None:
             plan.physical = store.stats_delta(physical_before or {})
         if not plan.scalar:

@@ -3,7 +3,8 @@
 The storage layer charges :class:`~repro.storage.iostats.IoStats` for
 every simulated disk touch; :class:`QueryStats` is the same ledger for
 the query fast path, so experiments can report cache effectiveness
-(plan cache, axis memo, synopsis pruning) alongside the I/O numbers.
+(plan cache, candidate cache, synopsis pruning, step routes) alongside
+the I/O numbers.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ class QueryStats:
     plan_hits: int = 0
     plan_misses: int = 0
     plan_evictions: int = 0
-    #: per-(label, axis) memo inside the scheme evaluator
-    axis_cache_hits: int = 0
-    axis_cache_misses: int = 0
     #: steps answered without touching data because the tag synopsis
     #: proves the node test cannot match
     synopsis_skips: int = 0
@@ -51,8 +49,6 @@ class QueryStats:
     #: steps that fell back to the per-context path (predicates,
     #: sibling/horizontal axes, attribute axis)
     fallback_steps: int = 0
-    #: document-order rank indexes (re)built
-    rank_index_builds: int = 0
     #: queries that raised (any ReproError), across all error types
     queries_failed: int = 0
     #: per-error-type failure counts, keyed by exception class name;
@@ -94,13 +90,6 @@ class QueryStats:
             return 1.0
         return self.plan_hits / lookups
 
-    @property
-    def axis_hit_ratio(self) -> float:
-        lookups = self.axis_cache_hits + self.axis_cache_misses
-        if not lookups:
-            return 1.0
-        return self.axis_cache_hits / lookups
-
     def as_dict(self) -> Dict[str, int]:
         """Every counter field, derived from the dataclass fields —
         adding a field can never silently drift out of the exported
@@ -141,7 +130,6 @@ class QueryStats:
     def __repr__(self) -> str:
         return (
             f"<QueryStats plans {self.plan_hits}/{self.plan_hits + self.plan_misses}"
-            f" axes {self.axis_cache_hits}/"
-            f"{self.axis_cache_hits + self.axis_cache_misses}"
+            f" batched={self.batched_steps} per-node={self.fallback_steps}"
             f" skips={self.synopsis_skips}>"
         )

@@ -109,54 +109,6 @@ class PathSummary:
         return f"<PathSummary paths={self._distinct}>"
 
 
-class TagStatistics:
-    """Per-document tag occurrence statistics — the evaluator's pruning
-    synopsis.
-
-    One pass over the tree records, per element tag, how many element
-    nodes carry it, plus the set of attribute names in use. The scheme
-    evaluator consults this before running an axis step: a name test
-    over a tag that occurs zero times cannot match anywhere, so the
-    step short-circuits to the empty node-set without generating a
-    single candidate; tag counts also feed cardinality-based operator
-    choices (nested-loop vs stack-tree join).
-    """
-
-    __slots__ = ("element_counts", "attribute_names", "total_elements")
-
-    def __init__(self, tree: XmlTree):
-        counts: Dict[str, int] = {}
-        attribute_names: set = set()
-        total = 0
-        for node in tree.preorder():
-            if node.kind is NodeKind.ELEMENT:
-                counts[node.tag] = counts.get(node.tag, 0) + 1
-                total += 1
-                if node.attributes:
-                    attribute_names.update(node.attributes)
-            elif node.kind is NodeKind.ATTRIBUTE:
-                attribute_names.add(node.tag)
-        self.element_counts = counts
-        self.attribute_names = attribute_names
-        self.total_elements = total
-
-    def count(self, tag: str) -> int:
-        """Number of element nodes with *tag* (0 if absent)."""
-        return self.element_counts.get(tag, 0)
-
-    def can_match_element(self, tag: str) -> bool:
-        return tag in self.element_counts
-
-    def can_match_attribute(self, name: str) -> bool:
-        return name in self.attribute_names
-
-    def __repr__(self) -> str:
-        return (
-            f"<TagStatistics tags={len(self.element_counts)} "
-            f"elements={self.total_elements}>"
-        )
-
-
 class TagAreaSynopsis:
     """tag → sorted global indices of the areas containing that tag.
 

@@ -12,7 +12,7 @@ caller how much work had been done.
 Cancellation here is cooperative: evaluator loops, store probes and
 twig joins call :meth:`Deadline.tick` at their natural step points.
 Checking the clock on every tick would tax the hot path (the batched
-scheme evaluator processes thousands of nodes per step), so ``tick``
+store evaluator processes thousands of nodes per step), so ``tick``
 only consults the clock every ``check_interval`` calls — a countdown,
 not a modulo, so the common case is one decrement and one compare.
 

@@ -111,7 +111,7 @@ class ResilientNodeStore(NodeStore):
             "backoff_seconds": 0.0,
         }
         # label translation between the two stores' dialects, built
-        # lazily from the fallback's rank map on first degradation
+        # lazily from the fallback's labels on first degradation
         self._to_mem: Optional[Dict[Label, Label]] = None
         # fallback-materialised nodes need their own id → label/rank
         # maps so label_for and document-order sorting keep working
@@ -172,17 +172,14 @@ class ResilientNodeStore(NodeStore):
         Rank-labeled primaries (the sqlite store hands out preorder
         ranks directly) translate by rank — ``fallback.label_at`` —
         with no key map at all; storage-keyed primaries (paged) go
-        through a :func:`label_key` map over the fallback's rank map.
+        through a :func:`label_key` map over the fallback's labels.
         """
         if getattr(self.primary, "labels_are_ranks", False):
             return self.fallback.label_at(key)
         if self._to_mem is None:
-            rank_map = getattr(self.fallback, "rank_map", None)
-            if rank_map is None:
-                raise UnknownLabelError(
-                    "fallback store exposes no rank_map to translate labels"
-                )
-            self._to_mem = {label_key(lb): lb for lb in rank_map}
+            label_at = self.fallback.label_at
+            labels = (label_at(rank) for rank in range(self.fallback.size()))
+            self._to_mem = {label_key(lb): lb for lb in labels}
         try:
             return self._to_mem[key]
         except KeyError:

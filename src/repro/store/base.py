@@ -204,6 +204,12 @@ class NodeStore:
         otherwise. Counts as a fetch."""
         raise NotImplementedError
 
+    def nodes_for(self, labels: Sequence[Label]) -> List[XmlNode]:
+        """:meth:`node_for` over a label list, in order (one fetch
+        each). Stores with a cheaper bulk dereference override this."""
+        node_for = self.node_for
+        return [node_for(label) for label in labels]
+
     def label_for(self, node: XmlNode) -> Label:
         """Reverse lookup (raises UnknownLabelError for nodes this
         store never produced, e.g. transient attribute nodes)."""
@@ -230,6 +236,13 @@ class NodeStore:
     def has_tag(self, tag: str) -> bool:
         """Synopsis check: can *tag* match anywhere at all?"""
         return bool(self.labels_with_tag(tag))
+
+    def can_match_attribute(self, name: str) -> bool:
+        """Synopsis check for attribute names: False only when no
+        attribute called *name* exists anywhere. The default always
+        answers True, so a store without an attribute synopsis never
+        prunes."""
+        return True
 
     # -- values ----------------------------------------------------------
     def attributes_of(self, label: Label) -> Tuple[Tuple[str, str], ...]:

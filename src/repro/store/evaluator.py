@@ -7,8 +7,8 @@ answered from ranks, intervals, parent arithmetic and candidate lists
 to nodes only for node tests and results, which is exactly the
 paper's one-fetch-per-node discipline made concrete.
 
-Against a :class:`~repro.store.memory.MemoryNodeStore` this behaves
-like the per-context scheme evaluator; against a
+Against a :class:`~repro.store.memory.MemoryNodeStore` this is the
+engine's default ``"ruid"`` strategy; against a
 :class:`~repro.store.paged.PagedNodeStore` the same code runs queries
 over a shredded document through the buffer pool, with no live DOM in
 sight.
@@ -22,10 +22,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, UnknownLabelError, UnsupportedFeatureError
 from repro.query.ast import BinaryOp, FunctionCall, LocationPath, NodeTest, Step
-from repro.query.evaluator import CHILD_SCAN_FACTOR, BaseEvaluator, node_test_matches
+from repro.query.evaluator import BaseEvaluator, node_test_matches
 from repro.query.stats import QueryStats
 from repro.store.base import Label, NodeStore
 from repro.xmltree.node import NodeKind, XmlNode
+
+#: a batched child step scans every candidate with a matching test;
+#: when the frontier is much smaller than that candidate list
+#: (single-context predicate evaluation, typically) the per-node path
+#: is cheaper — this factor picks the crossover
+CHILD_SCAN_FACTOR = 16
+
+#: axes the batched path answers by walking the parent-rank column
+_UPWARD_AXES = frozenset({"parent", "ancestor", "ancestor-or-self"})
 
 #: boolean-valued functions: as a predicate they filter, never index
 _BOOLEAN_FUNCTIONS = frozenset({"not", "true", "false", "contains", "starts-with"})
@@ -101,27 +110,37 @@ class StoreEvaluator(BaseEvaluator):
     across updates as long as the store does.
 
     Against a store with columnar backing (``supports_batched``),
-    predicate-free child/descendant steps run **set-at-a-time** over
-    raw rank arrays — per-tag candidate ranks against the whole context
-    frontier with a running-max interval scan — instead of one
-    axis call per context node. A child step whose candidates
-    outnumber its frontier by more than ``CHILD_SCAN_FACTOR`` takes
-    the per-node path instead (one context's children are cheaper to
-    list than every candidate is to scan). Wrapper stores that charge
-    per call (the resilient store) keep the per-node path and its
-    accounting.
+    predicate-free child/descendant and parent/ancestor steps run
+    **set-at-a-time** over raw rank arrays — per-tag candidate ranks
+    against the whole context frontier with a running-max interval
+    scan, or a walk up the parent-rank column — instead of one axis
+    call per context node. A child step whose candidates outnumber its
+    frontier by more than ``CHILD_SCAN_FACTOR`` scans only those inside
+    the contexts' subtrees, and takes the per-node path when fewer than
+    one in four of them are children (one context's children are then
+    cheaper to list). Wrapper
+    stores that charge per call (the resilient store) keep the
+    per-node path and its accounting. Name tests the store's synopsis
+    rules out are pruned to the empty node-set.
 
     ``//T[p...]`` runs as one ``descendant::T[p...]`` step when every
     predicate is position-free (:func:`fuse_descendant_steps`); the
-    navigational oracle keeps the literal steps.
+    navigational oracle keeps the literal steps, and so does
+    ``batched=False``, the literal-step, per-node reference the E14
+    benchmark measures the fast path against.
     """
 
     strategy_name = "store"
-    route_name = "store"
 
-    #: axes the batched set-at-a-time path implements; vertical
-    #: upward axes stay per-node (ancestor chains are short)
-    _BATCHED_AXES = frozenset({"child", "descendant", "descendant-or-self"})
+    #: axes the batched set-at-a-time path implements
+    _BATCHED_AXES = frozenset(
+        {"child", "descendant", "descendant-or-self", *_UPWARD_AXES}
+    )
+    #: every axis :meth:`axis_nodes` supports; synopsis pruning is
+    #: restricted to these so unsupported axes still raise
+    _KNOWN_AXES = _BATCHED_AXES | frozenset(
+        {"self", "following-sibling", "preceding-sibling", "following", "preceding", "attribute"}
+    )
 
     def __init__(
         self,
@@ -138,8 +157,8 @@ class StoreEvaluator(BaseEvaluator):
         self.stats = stats if stats is not None else QueryStats()
         self.tracer = None
         self.document_node = XmlNode("#document", NodeKind.DOCUMENT)
-        #: False forces the per-node path (the pre-columnar behaviour,
-        #: kept for before/after benchmarking)
+        #: False forces the per-node path over the literal steps (no
+        #: ``//`` fusion): the reference E14 measures the fast path by
         self.batched = batched
         #: False disables store-native axis pushdown (stores that have
         #: none ignore this); kept switchable so the differential and
@@ -162,6 +181,9 @@ class StoreEvaluator(BaseEvaluator):
         return self.store.order_by_id()
 
     def path_steps(self, path: LocationPath) -> Sequence[Step]:
+        # the per-node reference (batched=False) runs the literal steps
+        if not self.batched:
+            return path.steps
         return fuse_descendant_steps(path.steps)
 
     def select(self, expr, context: Optional[XmlNode] = None) -> List[XmlNode]:
@@ -200,8 +222,7 @@ class StoreEvaluator(BaseEvaluator):
 
     # -- label plumbing -----------------------------------------------------
     def _nodes(self, labels: List[Label]) -> List[XmlNode]:
-        node_for = self.store.node_for
-        return [node_for(label) for label in labels]
+        return self.store.nodes_for(labels)
 
     # -- batched fast path --------------------------------------------------
     def _candidates(self, test: NodeTest) -> Optional[List]:
@@ -271,7 +292,23 @@ class StoreEvaluator(BaseEvaluator):
             self.stats.count("candidate_cache_evictions", len(doomed))
         return len(doomed)
 
-    def _eval_step(self, nodes: List[XmlNode], step: Step) -> List[XmlNode]:
+    def _routes_batched(self, step: Step) -> bool:
+        if not (
+            self.batched
+            and self.store.supports_batched
+            and not step.predicates
+            and step.axis in self._BATCHED_AXES
+        ):
+            return False
+        # A store with its own axis engine builds its parent column by
+        # scanning every row; a few per-node parent probes are cheaper
+        # on the fresh attaches it serves.
+        return step.axis not in _UPWARD_AXES or not (
+            self.pushdown and self.store.axis_pushdown is not None
+        )
+
+    def _routes_pushdown(self, step: Step):
+        """The store's pushdown helper when it can take *step*, else None."""
         pushdown = self.store.axis_pushdown
         if (
             self.pushdown
@@ -279,27 +316,81 @@ class StoreEvaluator(BaseEvaluator):
             and not step.predicates
             and step.axis in pushdown.AXES
         ):
+            return pushdown
+        return None
+
+    def _prunable(self, step: Step) -> bool:
+        """True when the store's synopsis proves the step's name test
+        matches nothing anywhere in the document."""
+        test = step.test
+        if test.name is None or test.node_type is not None:
+            return False
+        if step.axis not in self._KNOWN_AXES:
+            return False  # let the unsupported-axis error surface
+        if step.axis == "attribute":
+            return not self.store.can_match_attribute(test.name)
+        return not self.store.has_tag(test.name)
+
+    def plan_route(self, step: Step) -> Tuple[str, Optional[int]]:
+        """Predict the dispatch decision :meth:`_eval_step` will make,
+        with the candidate count of the step's node test (None for kind
+        tests). A batched step may still fall back at runtime — a child
+        step past the crossover, a transient context — and ANALYZE
+        reports the observed route alongside."""
+        pushdown = self._routes_pushdown(step)
+        if pushdown is None and self._prunable(step):
+            return "pruned", 0
+        estimate = None
+        test = step.test
+        if test.node_type is None and step.axis != "attribute":
+            estimate = len(self._candidates(test)[0])
+        if pushdown is not None:
+            return "pushdown", estimate
+        if self._routes_batched(step):
+            return "batched", estimate
+        return "per-node", estimate
+
+    def _eval_step(self, nodes: List[XmlNode], step: Step) -> List[XmlNode]:
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.enabled
+        pushdown = self._routes_pushdown(step)
+        if pushdown is not None:
+            # the store's own engine answers unknown tags too
             result = self._eval_step_pushdown(nodes, step, pushdown)
             if result is not None:
                 self.stats.count("pushdown_steps")
                 if self.deadline is not None:
                     self.deadline.tick(len(result))
+                if tracing:
+                    tracer.annotate_once(route="pushdown")
                 return result
-        if (
-            self.batched
-            and self.store.supports_batched
-            and not step.predicates
-            and step.axis in self._BATCHED_AXES
-        ):
+        if self._prunable(step):
+            self.stats.count("synopsis_skips")
+            if tracing:
+                tracer.annotate_once(route="pruned")
+            return []
+        if self._routes_batched(step):
             result = self._eval_step_batched(nodes, step)
             if result is not None:
                 self.stats.count("batched_steps")
                 if self.deadline is not None:
                     # one weighted cancellation point per batched step
                     self.deadline.tick(len(result))
+                if tracing:
+                    tracer.annotate_once(route="batched")
                 return result
         self.stats.count("fallback_steps")
-        return super()._eval_step(nodes, step)
+        if not tracing:
+            return super()._eval_step(nodes, step)
+        tracer.annotate_once(route="per-node")
+        # Predicate sub-paths run once per candidate, untraced under
+        # this step's span (docs/OBSERVABILITY.md): detach the tracer
+        # once for the whole step instead of once per sub-path.
+        self.tracer = None
+        try:
+            return super()._eval_step(nodes, step)
+        finally:
+            self.tracer = tracer
 
     def _eval_step_pushdown(
         self, nodes: List[XmlNode], step: Step, pushdown
@@ -337,9 +428,15 @@ class StoreEvaluator(BaseEvaluator):
     ) -> Optional[List[XmlNode]]:
         """Set-at-a-time step over raw rank arrays; None means fall
         back to the per-node path (unlabelable context, inexpressible
-        test, missing parent column, or a child step whose candidates
-        outnumber its frontier past the crossover)."""
+        test, missing parent column, or a child step past the
+        crossover whose scanned candidates are mostly not children)."""
         store = self.store
+        axis = step.axis
+        entry = None
+        if axis not in _UPWARD_AXES:
+            entry = self._candidates(step.test)
+            if entry is None:
+                return None
         has_doc = False
         labels: List[Label] = []
         label_for = store.label_for
@@ -351,31 +448,51 @@ class StoreEvaluator(BaseEvaluator):
                     labels.append(label_for(node))
         except UnknownLabelError:
             return None  # transient attribute context
-        entry = self._candidates(step.test)
         if entry is None:
-            return None
+            return self._eval_upward_batched(labels, step)
         candidates = entry[0]
-        axis = step.axis
 
         if axis == "child":
             context = set(labels)
             frontier = len(context) + (1 if has_doc else 0)
             if not frontier:
                 return []
-            if len(candidates) > CHILD_SCAN_FACTOR * frontier:
-                return None  # candidate scan dearer than per-node children
             parent_ranks = store.parent_rank_array()
             if parent_ranks is None:
                 return None
+            limit = CHILD_SCAN_FACTOR * frontier
+            if len(candidates) <= limit:
+                candidate_ranks = self._candidate_ranks(entry)
+                positions = range(len(candidate_ranks))
+            elif has_doc or entry[1] is None:
+                # candidate scan dearer than per-node children (and no
+                # rank column to narrow it without probing every rank)
+                return None
+            else:
+                # only candidates inside a context's subtree interval
+                # can be its children
+                candidate_ranks = entry[1]
+                positions = self._subtree_positions(context, candidate_ranks)
             context_ranks = {store.rank_of(lb) for lb in context}
             kept: List[Label] = []
-            for position, cand_rank in enumerate(self._candidate_ranks(entry)):
-                parent_rank = parent_ranks[cand_rank]
-                if parent_rank < 0:
-                    if has_doc:  # the root element, child of the doc node
+
+            def scan(span) -> None:
+                for position in span:
+                    parent_rank = parent_ranks[candidate_ranks[position]]
+                    if parent_rank < 0:
+                        if has_doc:  # the root element, child of the doc node
+                            kept.append(candidates[position])
+                    elif parent_rank in context_ranks:
                         kept.append(candidates[position])
-                elif parent_rank in context_ranks:
-                    kept.append(candidates[position])
+
+            scan(positions[:limit])
+            if len(positions) > limit:
+                # Past the crossover: go on only while at least one in
+                # four candidates scanned is a child of the frontier.
+                # Sparser, and listing each context's children is cheaper.
+                if 4 * len(kept) < limit:
+                    return None
+                scan(positions[limit:])
             return self._nodes(kept)
 
         # descendant / descendant-or-self
@@ -408,6 +525,71 @@ class StoreEvaluator(BaseEvaluator):
             if j >= 0 and prefix_max[j] >= cand_rank:
                 kept.append(candidates[position])
         return self._nodes(kept)
+
+    def _subtree_positions(self, context, candidate_ranks: Sequence[int]) -> List[int]:
+        """Positions of the candidates inside the contexts' subtree
+        intervals, in document order (nested intervals counted once)."""
+        rank_of = self.store.rank_of
+        end_of = self.store.end_of
+        positions: List[int] = []
+        covered = -1
+        for rank, end in sorted((rank_of(lb), end_of(lb)) for lb in context):
+            if end <= covered:
+                continue  # nested in an interval already taken
+            low = bisect_right(candidate_ranks, rank)
+            positions.extend(range(low, bisect_right(candidate_ranks, end, low)))
+            covered = end
+        return positions
+
+    def _eval_upward_batched(
+        self, labels: List[Label], step: Step
+    ) -> Optional[List[XmlNode]]:
+        """parent / ancestor / ancestor-or-self for the whole frontier:
+        walk the parent-rank column from each context, stopping at the
+        first rank already found (shared ancestry is walked once), then
+        keep the ranks the node test admits. The virtual document node
+        has no parent and is never an ancestor result, as on the
+        per-node path."""
+        store = self.store
+        parent_ranks = store.parent_rank_array()
+        if parent_ranks is None:
+            return None
+        test = step.test
+        node_type = test.node_type
+        if node_type not in (None, "node"):
+            return None  # text()/comment(): rare on upward axes
+        rank_of = store.rank_of
+        found = set()
+        if step.axis == "parent":
+            for label in labels:
+                parent = parent_ranks[rank_of(label)]
+                if parent >= 0:
+                    found.add(parent)
+        else:
+            or_self = step.axis == "ancestor-or-self"
+            for label in set(labels):
+                rank = rank_of(label)
+                current = rank if or_self else parent_ranks[rank]
+                while current >= 0 and current not in found:
+                    found.add(current)
+                    current = parent_ranks[current]
+        if test.name is None:
+            label_at = store.label_at
+            nodes = self._nodes([label_at(rank) for rank in sorted(found)])
+            if node_type is None and step.axis == "ancestor-or-self":
+                # '*' drops non-element contexts; their ancestors are
+                # elements already
+                nodes = [node for node in nodes if node.kind is NodeKind.ELEMENT]
+            return nodes
+        entry = self._candidates(test)
+        candidates = entry[0]
+        return self._nodes(
+            [
+                candidates[position]
+                for position, rank in enumerate(self._candidate_ranks(entry))
+                if rank in found
+            ]
+        )
 
     # -- axes ---------------------------------------------------------------
     def axis_nodes(self, node: XmlNode, axis: str) -> List[XmlNode]:

@@ -10,8 +10,8 @@ array slice and parent hops are one indexed load, with no per-node
 object walks on any hot path.
 
 All derived state is stamped with the labeling's generation and
-rebuilt wholesale after a structural update, mirroring the cache
-discipline of the scheme evaluator it now backs.
+rebuilt wholesale after a structural update; the engine's default
+``"ruid"`` strategy runs the store evaluator over this store.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ class MemoryNodeStore(NodeStore):
         "columnar",
         "_parent_arithmetic",
         "_bound_generation",
-        "rank_map",
-        "end_map",
         "_order_by_id",
+        "_attribute_names",
         "_tag_labels",
         "_element_labels",
         "_text_labels",
@@ -63,9 +62,8 @@ class MemoryNodeStore(NodeStore):
         self._parent_arithmetic = parent if parent is not None else labeling.rparent
         self._bound_generation: Optional[int] = None
         self.columnar: Optional[ColumnarIndex] = None
-        self.rank_map: Dict[Label, int] = {}
-        self.end_map: Dict[Label, int] = {}
         self._order_by_id: Optional[Dict[int, int]] = None
+        self._attribute_names: Optional[frozenset] = None
         self._tag_labels: Optional[Dict[str, List[Label]]] = None
         self._element_labels: Optional[List[Label]] = None
         self._text_labels: Optional[List[Label]] = None
@@ -90,13 +88,10 @@ class MemoryNodeStore(NodeStore):
         generation = self.generation
         if generation == self._bound_generation:
             return
-        columnar = self._build_columnar()
+        self.columnar = self._build_columnar()
         self.stats.columnar_builds += 1
-        index = columnar.as_rank_index()
-        self.columnar = columnar
-        self.rank_map = index.rank
-        self.end_map = index.end
         self._order_by_id = None
+        self._attribute_names = None
         self._tag_labels = None
         self._element_labels = None
         self._text_labels = None
@@ -120,14 +115,15 @@ class MemoryNodeStore(NodeStore):
     def rank_of(self, label: Label) -> int:
         self._ensure()
         try:
-            return self.rank_map[label]
+            return self.columnar.rank_by_label[label]
         except KeyError:
             raise UnknownLabelError(f"label {label!r} not in this generation") from None
 
     def end_of(self, label: Label) -> int:
         self._ensure()
+        columnar = self.columnar
         try:
-            return self.end_map[label]
+            return columnar.end[columnar.rank_by_label[label]]
         except KeyError:
             raise UnknownLabelError(f"label {label!r} not in this generation") from None
 
@@ -161,13 +157,10 @@ class MemoryNodeStore(NodeStore):
         self.stats.fetches += 1
         return self.labeling.node_of(label)
 
-    def raw_node_of(self, label: Label) -> XmlNode:
-        """Uncounted dereference for hot loops that account fetches in
-        bulk via :meth:`note_fetches`."""
-        return self.labeling.node_of(label)
-
-    def note_fetches(self, count: int) -> None:
-        self.stats.fetches += count
+    def nodes_for(self, labels: Sequence[Label]) -> List[XmlNode]:
+        self.stats.fetches += len(labels)
+        node_of = self.labeling.node_of
+        return [node_of(label) for label in labels]
 
     def label_for(self, node: XmlNode) -> Label:
         try:
@@ -271,12 +264,33 @@ class MemoryNodeStore(NodeStore):
         self._ensure()
         order = self._order_by_id
         if order is None:
-            node_of = self.labeling.node_of
-            order = {
-                node_of(label).node_id: rank
-                for rank, label in enumerate(self.columnar.labels_by_rank)
-            }
-            self._order_by_id = order
+            order = self._scan_nodes()
+        return order
+
+    def can_match_attribute(self, name: str) -> bool:
+        self._ensure()
+        names = self._attribute_names
+        if names is None:
+            self._scan_nodes()
+            names = self._attribute_names
+        return name in names
+
+    def _scan_nodes(self) -> Dict[int, int]:
+        """One pass over every labeled node: the ``node_id`` → rank map
+        and, from the same dereferences, the attribute-name synopsis
+        (dict-form attributes and materialised attribute nodes)."""
+        node_of = self.labeling.node_of
+        order: Dict[int, int] = {}
+        names: set = set()
+        for rank, label in enumerate(self.columnar.labels_by_rank):
+            node = node_of(label)
+            order[node.node_id] = rank
+            if node.attributes:
+                names.update(node.attributes)
+            elif node.kind is NodeKind.ATTRIBUTE:
+                names.add(node.tag)
+        self._order_by_id = order
+        self._attribute_names = frozenset(names)
         return order
 
     def descendant_labels(self, label: Label, or_self: bool = False) -> List[Label]:

@@ -385,6 +385,87 @@ class TestDeltaViewUnit:
             )
 
 
+class TestSpliceOnce:
+    """A delta layer splices each column from its base once: the base
+    keeps its copy after it is released until the layer above holds
+    its own, so a read on a fresh layer never re-splices the chain
+    below it."""
+
+    def test_each_generation_splices_its_parent_column_once(self, monkeypatch):
+        from repro.generator import (
+            UpdateWorkloadConfig,
+            generate_update_workload,
+            generate_xmark,
+        )
+
+        tree = generate_xmark(scale=0.1, seed=2002)
+        plan = generate_update_workload(
+            tree,
+            UpdateWorkloadConfig(operations=40, insert_fraction=0.8, depth_bias="uniform"),
+            seed=1,
+        )
+        doc = ConcurrentDocument(tree, scheme="ruid2")
+        with doc.pin():
+            pass
+        splices = {}
+        original = DeltaView.parent_rank_array
+
+        def counting(view):
+            if view._parent_ranks is None:
+                splices[view.generation] = splices.get(view.generation, 0) + 1
+            return original(view)
+
+        monkeypatch.setattr(DeltaView, "parent_rank_array", counting)
+        deltas = set()
+        for op in plan:
+            target = op.locate(doc.tree)
+            if op.kind == "insert":
+                doc.insert(target, op.position, XmlNode(op.tag, NodeKind.ELEMENT))
+            else:
+                doc.delete(target)
+            with doc.pin() as snap:
+                if isinstance(snap.view, DeltaView):
+                    deltas.add(snap.generation)
+                # a batched parent step reads the spliced parent column
+                assert snap.select_ids("//interest/..") == [
+                    n.node_id for n in _navigational(doc, "//interest/..")
+                ]
+        assert len(deltas) > 20
+        assert set(splices) == deltas
+        assert max(splices.values()) == 1
+
+    def test_released_layer_drops_columns_spliced_above(self):
+        doc = _make_doc()
+        with doc.pin():
+            pass
+        parent = doc.tree.root.children[0]
+        doc.insert(parent, 0, XmlNode("item", NodeKind.ELEMENT))
+        lower = doc.pin()
+        lower.view.parent_rank_array()
+        lower.view.tag_ranks("item")
+        doc.insert(parent, 0, XmlNode("item", NodeKind.ELEMENT))
+        with doc.pin() as snap:
+            upper = snap.view
+            assert isinstance(upper, DeltaView) and upper.base is lower.view
+            upper.parent_rank_array()
+            upper.tag_ranks("item")
+            # still pinned below: the lower layer keeps its columns
+            assert lower.view._parent_ranks is not None
+            lower.release()
+            assert lower.view._parent_ranks is None
+            assert "item" not in lower.view._tag_rank_arrays
+            assert snap.select_ids("//item/..") == [
+                n.node_id for n in _navigational(doc, "//item/..")
+            ]
+
+
+def _navigational(doc, xpath):
+    from repro.query import NavigationalEvaluator
+    from repro.query.parser import parse_xpath
+
+    return NavigationalEvaluator(doc.tree).select(parse_xpath(xpath))
+
+
 @pytest.mark.parametrize("scheme", ["ruid2", "dewey", "ordpath", "prepost"])
 def test_delta_path_is_scheme_agnostic(scheme):
     tree = generate_tree(RandomTreeConfig(node_count=80), seed=19)

@@ -101,6 +101,64 @@ def test_descendant_fusion_keeps_answers_on_a_delta_chain():
             got = result_keys(snap.select(query), tree)
             assert got == want, f"delta chain diverged from navigation on {query}"
 
+#: upward-axis queries (parent / ancestor / ancestor-or-self), which
+#: the store evaluator answers set-at-a-time from the parent-rank
+#: column; the attribute contexts are transient nodes and must take
+#: the per-node path. Kept out of the corpus query sets, which
+#: perfbench deals its query streams from.
+UPWARD_QUERIES = (
+    ("treebank", "//NN/ancestor::NP"),
+    ("xmark", "//interest/.."),
+    ("xmark", "//name/ancestor-or-self::*"),
+    ("xmark", "//text()/.."),
+    ("xmark", "//person/@id/.."),
+    ("xmark", "//person/@id/ancestor::*"),
+)
+
+_UPWARD_BACKINGS = {
+    **_FUSION_BACKINGS,
+    "default-strategy": lambda corpus, query: result_keys(
+        corpus_engine(corpus).select(query), corpus_tree(corpus)
+    ),
+}
+
+
+@pytest.mark.parametrize("backing", list(_UPWARD_BACKINGS))
+@pytest.mark.parametrize(("corpus", "query"), UPWARD_QUERIES)
+def test_upward_axes_match_navigational(corpus, query, backing):
+    got = _UPWARD_BACKINGS[backing](corpus, query)
+    want = baseline_keys(corpus, query)
+    assert want, f"{corpus}:{query} selects nothing; the case proves nothing"
+    assert got == want, f"{backing} diverged from navigation on {corpus}:{query}"
+
+
+@pytest.mark.parametrize("corpus", sorted({corpus for corpus, _ in UPWARD_QUERIES}))
+def test_upward_axes_match_navigational_on_a_delta_chain(corpus):
+    """The upward queries on a pinned delta chain, whose parent column
+    is spliced from the base's, against navigation over the mutated
+    tree."""
+    from repro.concurrent import ConcurrentDocument, DeltaView
+
+    tree = CORPORA[corpus][0]()
+    doc = ConcurrentDocument(tree, scheme="ruid2")
+    with doc.pin():
+        pass  # materialise the base so every edit publishes a delta
+    ops = generate_update_workload(
+        tree, UpdateWorkloadConfig(operations=6, insert_fraction=0.7), seed=43
+    )
+    for _report in apply_workload(tree, ops, doc.insert, doc.delete):
+        pass
+    engine = XPathEngine(tree)
+    with doc.pin() as snap:
+        assert isinstance(snap.view, DeltaView)
+        for query_corpus, query in UPWARD_QUERIES:
+            if query_corpus != corpus:
+                continue
+            want = result_keys(engine.select(query, strategy="navigational"), tree)
+            got = result_keys(snap.select(query), tree)
+            assert got == want, f"delta chain diverged from navigation on {query}"
+
+
 CASES = [
     pytest.param(corpus, query, id=f"{corpus}-{query}")
     for corpus, (_, queries) in CORPORA.items()

@@ -48,8 +48,9 @@ class TestExplainStatic:
         compiled = engine.compile(query)
         paths = getattr(compiled, "paths", [compiled])
         assert len(plan.paths) == len(paths)
+        evaluator = engine.evaluator()
         for path_plan, path in zip(plan.paths, paths):
-            assert len(path_plan.steps) == len(path.steps)
+            assert len(path_plan.steps) == len(evaluator.path_steps(path))
             for step in path_plan.steps:
                 assert step.axis
                 assert step.test

@@ -14,13 +14,14 @@ from repro.baselines import get_scheme
 from repro.generator import generate_xmark, random_document
 from repro.query import (
     NavigationalEvaluator,
-    SchemeEvaluator,
     XPathEngine,
     choose_join_algorithm,
     join_nodes,
     stack_tree_join,
 )
 from repro.query.joins import NESTED_LOOP_CUTOFF
+from repro.store.evaluator import StoreEvaluator
+from repro.store.memory import MemoryNodeStore
 from repro.xmltree import element
 from repro.xmltree.node import NodeKind, XmlNode
 
@@ -228,7 +229,8 @@ class TestBatchedEvaluator:
     def test_batched_equals_legacy_and_navigational(self, xmark):
         labeling = get_scheme("ruid2", max_area_size=24).build(xmark)
         engine = XPathEngine(xmark, labeling=labeling)
-        legacy = SchemeEvaluator(labeling, batched=False, memoize=False)
+        # the literal-step, per-node reference
+        legacy = StoreEvaluator(MemoryNodeStore(labeling), batched=False)
         for query in self.QUERIES:
             compiled = engine.compile(query)
             nav = [n.node_id for n in engine.select(query, "navigational")]
@@ -236,14 +238,3 @@ class TestBatchedEvaluator:
             assert fast == nav, query
             assert [n.node_id for n in legacy.select(compiled)] == nav, query
         assert engine.stats.batched_steps > 0
-
-    def test_axis_memo_counts(self, xmark):
-        labeling = get_scheme("ruid2", max_area_size=24).build(xmark)
-        evaluator = SchemeEvaluator(labeling)
-        compiled = XPathEngine(xmark).compile("//open_auction[bidder]/seller")
-        evaluator.select(compiled)
-        misses = evaluator.stats.axis_cache_misses
-        assert misses > 0
-        evaluator.select(compiled)
-        assert evaluator.stats.axis_cache_misses == misses  # all warm
-        assert evaluator.stats.axis_cache_hits > 0
