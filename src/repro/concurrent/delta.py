@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from threading import Lock
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import UnknownLabelError
@@ -367,6 +368,7 @@ class DeltaView(NodeStore):
         "_value_memo",
         "_released",
         "_spliced_above",
+        "_splice_lock",
     )
 
     def __init__(
@@ -396,6 +398,9 @@ class DeltaView(NodeStore):
         self._released = False
         #: columns the layer above has spliced its own copy of
         self._spliced_above: set = set()
+        #: guards ``_released`` and ``_spliced_above``: the reclaimer
+        #: releases this layer while readers of the layer above splice
+        self._splice_lock = Lock()
 
     # ------------------------------------------------------------------
     # identity
@@ -744,21 +749,23 @@ class DeltaView(NodeStore):
         time, as that layer splices its own copy of each: dropping them
         here would make the layer above re-splice them from further
         down the chain first."""
-        self._released = True
         self._value_memo = {}
-        for column in self._spliced_above:
-            self._drop_column(column)
-        self._spliced_above = set()
+        with self._splice_lock:
+            self._released = True
+            spliced, self._spliced_above = self._spliced_above, set()
+            for column in spliced:
+                self._drop_column(column)
 
     def _spliced_from_base(self, column: Tuple) -> None:
         """This layer now holds its own copy of *column*: the base may
         drop its copy once it is released."""
         base = self.base
         if isinstance(base, DeltaView):
-            if base._released:
-                base._drop_column(column)
-            else:
-                base._spliced_above.add(column)
+            with base._splice_lock:
+                if base._released:
+                    base._drop_column(column)
+                else:
+                    base._spliced_above.add(column)
 
     def _drop_column(self, column: Tuple) -> None:
         kind = column[0]

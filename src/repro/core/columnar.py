@@ -203,12 +203,6 @@ class ColumnarIndex:
     def label_at(self, rank: int):
         return self.labels_by_rank[rank]
 
-    def end_at(self, rank: int) -> int:
-        return self.end[rank]
-
-    def parent_rank_at(self, rank: int) -> int:
-        return self.parent[rank]
-
     def tag_at(self, rank: int) -> Optional[str]:
         tid = self.tag_id[rank]
         return None if tid < 0 else self.tags[tid]

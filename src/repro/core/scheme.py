@@ -93,11 +93,6 @@ class Labeling(ABC, Generic[LabelT]):
             self._columnar_index = index
         return index
 
-    def doc_rank(self) -> Dict:
-        """label → preorder rank for the current generation (the raw
-        dict, suitable as a ``sorted`` key via ``__getitem__``)."""
-        return self.rank_index().rank
-
     # -- lookups --------------------------------------------------------
     @abstractmethod
     def label_of(self, node: XmlNode) -> LabelT:

@@ -265,42 +265,39 @@ class BaseEvaluator:
         return []
 
     def _eval_step(self, nodes: List[XmlNode], step: Step) -> List[XmlNode]:
+        return self.sort_nodes(self._gather_step(nodes, step))
+
+    def _gather_step(self, nodes: List[XmlNode], step: Step) -> List[XmlNode]:
+        """Each context's axis result, tested and filtered, concatenated
+        unsorted; a reverse axis lists each context's result backwards."""
         gathered: List[XmlNode] = []
-        deadline = self.deadline
-        reverse = step.axis in _REVERSE_AXES
         for node in nodes:
-            if node is self.document_node:
-                axis_result = self._document_axis(step.axis)
-            else:
-                axis_result = self.axis_nodes(node, step.axis)
-            if deadline is not None:
-                deadline.tick(len(axis_result))
-            candidates = [
-                candidate
-                for candidate in axis_result
-                if node_test_matches(candidate, step.test, step.axis)
-            ]
-            if reverse:
+            candidates = self._step_matches(node, step)
+            if step.axis in _REVERSE_AXES:
                 candidates.reverse()  # predicate positions count backwards
             for predicate in step.predicates:
                 candidates = self._filter(candidates, predicate)
             gathered.extend(candidates)
-        if len(nodes) == 1:
-            # one context: the axis already listed it in document order
-            if reverse:
-                gathered.reverse()
-            return gathered
-        return self.sort_nodes(gathered)
+        return gathered
+
+    def _step_matches(self, node: XmlNode, step: Step) -> List[XmlNode]:
+        """*node*'s axis result that passes the step's node test, in
+        document order."""
+        if node is self.document_node:
+            axis_result = self._document_axis(step.axis)
+        else:
+            axis_result = self.axis_nodes(node, step.axis)
+        if self.deadline is not None:
+            self.deadline.tick(len(axis_result))
+        return [
+            candidate
+            for candidate in axis_result
+            if node_test_matches(candidate, step.test, step.axis)
+        ]
 
     def _filter(self, candidates: List[XmlNode], predicate: Expr) -> List[XmlNode]:
-        size = len(candidates)
-        if isinstance(predicate, Number):
-            # a literal position test keeps at most one candidate
-            index = predicate.value
-            if 1 <= index <= size and index == int(index):
-                return [candidates[int(index) - 1]]
-            return []
         kept: List[XmlNode] = []
+        size = len(candidates)
         deadline = self.deadline
         for position, candidate in enumerate(candidates, start=1):
             if deadline is not None:

@@ -83,13 +83,6 @@ class QueryStats:
             return dict(self._error_counts)
 
     # ------------------------------------------------------------------
-    @property
-    def plan_hit_ratio(self) -> float:
-        lookups = self.plan_hits + self.plan_misses
-        if not lookups:
-            return 1.0
-        return self.plan_hits / lookups
-
     def as_dict(self) -> Dict[str, int]:
         """Every counter field, derived from the dataclass fields —
         adding a field can never silently drift out of the exported

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, UnknownLabelError, UnsupportedFeatureError
-from repro.query.ast import BinaryOp, FunctionCall, LocationPath, NodeTest, Step
-from repro.query.evaluator import BaseEvaluator, node_test_matches
+from repro.query.ast import BinaryOp, FunctionCall, LocationPath, NodeTest, Number, Step
+from repro.query.evaluator import _REVERSE_AXES, BaseEvaluator, node_test_matches
 from repro.query.stats import QueryStats
 from repro.store.base import Label, NodeStore
 from repro.xmltree.node import NodeKind, XmlNode
@@ -100,6 +101,22 @@ def fuse_descendant_steps(steps: Sequence[Step]) -> Sequence[Step]:
     return steps if fused is None else tuple(fused)
 
 
+def _subtree_positions(spans, candidate_ranks: Sequence[int]) -> Iterable[int]:
+    """Positions of the candidates inside the ``(rank, end)`` subtree
+    intervals *spans* (sorted by rank), in document order; nested
+    intervals are counted once. Lazy: a scan that stops early never
+    lists the rest of a wide subtree."""
+    windows = []
+    covered = -1
+    for rank, end in spans:
+        if end <= covered:
+            continue  # nested in an interval already taken
+        low = bisect_right(candidate_ranks, rank)
+        windows.append(range(low, bisect_right(candidate_ranks, end, low)))
+        covered = end
+    return windows[0] if len(windows) == 1 else chain.from_iterable(windows)
+
+
 class StoreEvaluator(BaseEvaluator):
     """Axis steps from NodeStore primitives.
 
@@ -118,7 +135,8 @@ class StoreEvaluator(BaseEvaluator):
     frontier by more than ``CHILD_SCAN_FACTOR`` scans only those inside
     the contexts' subtrees, and takes the per-node path when fewer than
     one in four of them are children (one context's children are then
-    cheaper to list). Wrapper
+    cheaper to list). A child step with predicates runs per context,
+    but takes each context's matches the same way. Wrapper
     stores that charge per call (the resilient store) keep the
     per-node path and its accounting. Name tests the store's synopsis
     rules out are pruned to the empty node-set.
@@ -381,16 +399,55 @@ class StoreEvaluator(BaseEvaluator):
                 return result
         self.stats.count("fallback_steps")
         if not tracing:
-            return super()._eval_step(nodes, step)
+            return self._eval_step_per_node(nodes, step)
         tracer.annotate_once(route="per-node")
         # Predicate sub-paths run once per candidate, untraced under
         # this step's span (docs/OBSERVABILITY.md): detach the tracer
         # once for the whole step instead of once per sub-path.
         self.tracer = None
         try:
-            return super()._eval_step(nodes, step)
+            return self._eval_step_per_node(nodes, step)
         finally:
             self.tracer = tracer
+
+    def _eval_step_per_node(self, nodes: List[XmlNode], step: Step) -> List[XmlNode]:
+        gathered = self._gather_step(nodes, step)
+        if len(nodes) != 1:
+            return self.sort_nodes(gathered)
+        # one context: its axis result is already in document order
+        if step.axis in _REVERSE_AXES:
+            gathered.reverse()
+        return gathered
+
+    def _step_matches(self, node: XmlNode, step: Step) -> List[XmlNode]:
+        # A child step with predicates runs per context; its node test
+        # can still be answered from the candidate ranks. Not on a store
+        # with its own axis engine: it builds the parent column by
+        # scanning every row.
+        store = self.store
+        if (
+            step.predicates
+            and step.axis == "child"
+            and self.batched
+            and store.supports_batched
+            and not (self.pushdown and store.axis_pushdown is not None)
+            and node is not self.document_node
+        ):
+            found = self._eval_step_batched([node], step)
+            if found is not None:
+                if self.deadline is not None:
+                    self.deadline.tick(len(found))
+                return found
+        return super()._step_matches(node, step)
+
+    def _filter(self, candidates: List[XmlNode], predicate) -> List[XmlNode]:
+        if isinstance(predicate, Number):
+            # a literal position test keeps at most one candidate
+            index = predicate.value
+            if 1 <= index <= len(candidates) and index == int(index):
+                return [candidates[int(index) - 1]]
+            return []
+        return super()._filter(candidates, predicate)
 
     def _eval_step_pushdown(
         self, nodes: List[XmlNode], step: Step, pushdown
@@ -460,10 +517,12 @@ class StoreEvaluator(BaseEvaluator):
             parent_ranks = store.parent_rank_array()
             if parent_ranks is None:
                 return None
+            rank_of = store.rank_of
             limit = CHILD_SCAN_FACTOR * frontier
             if len(candidates) <= limit:
                 candidate_ranks = self._candidate_ranks(entry)
                 positions = range(len(candidate_ranks))
+                context_ranks = {rank_of(lb) for lb in context}
             elif has_doc or entry[1] is None:
                 # candidate scan dearer than per-node children (and no
                 # rank column to narrow it without probing every rank)
@@ -472,27 +531,26 @@ class StoreEvaluator(BaseEvaluator):
                 # only candidates inside a context's subtree interval
                 # can be its children
                 candidate_ranks = entry[1]
-                positions = self._subtree_positions(context, candidate_ranks)
-            context_ranks = {store.rank_of(lb) for lb in context}
+                end_of = store.end_of
+                spans = sorted((rank_of(lb), end_of(lb)) for lb in context)
+                context_ranks = {rank for rank, _ in spans}
+                positions = _subtree_positions(spans, candidate_ranks)
             kept: List[Label] = []
-
-            def scan(span) -> None:
-                for position in span:
-                    parent_rank = parent_ranks[candidate_ranks[position]]
-                    if parent_rank < 0:
-                        if has_doc:  # the root element, child of the doc node
-                            kept.append(candidates[position])
-                    elif parent_rank in context_ranks:
-                        kept.append(candidates[position])
-
-            scan(positions[:limit])
-            if len(positions) > limit:
-                # Past the crossover: go on only while at least one in
-                # four candidates scanned is a child of the frontier.
-                # Sparser, and listing each context's children is cheaper.
-                if 4 * len(kept) < limit:
+            scanned = 0
+            for position in positions:
+                if scanned == limit and 4 * len(kept) < limit:
+                    # Past the crossover: go on only while at least one
+                    # in four candidates scanned is a child of the
+                    # frontier. Sparser, and listing each context's
+                    # children is cheaper.
                     return None
-                scan(positions[limit:])
+                scanned += 1
+                parent_rank = parent_ranks[candidate_ranks[position]]
+                if parent_rank < 0:
+                    if has_doc:  # the root element, child of the doc node
+                        kept.append(candidates[position])
+                elif parent_rank in context_ranks:
+                    kept.append(candidates[position])
             return self._nodes(kept)
 
         # descendant / descendant-or-self
@@ -525,21 +583,6 @@ class StoreEvaluator(BaseEvaluator):
             if j >= 0 and prefix_max[j] >= cand_rank:
                 kept.append(candidates[position])
         return self._nodes(kept)
-
-    def _subtree_positions(self, context, candidate_ranks: Sequence[int]) -> List[int]:
-        """Positions of the candidates inside the contexts' subtree
-        intervals, in document order (nested intervals counted once)."""
-        rank_of = self.store.rank_of
-        end_of = self.store.end_of
-        positions: List[int] = []
-        covered = -1
-        for rank, end in sorted((rank_of(lb), end_of(lb)) for lb in context):
-            if end <= covered:
-                continue  # nested in an interval already taken
-            low = bisect_right(candidate_ranks, rank)
-            positions.extend(range(low, bisect_right(candidate_ranks, end, low)))
-            covered = end
-        return positions
 
     def _eval_upward_batched(
         self, labels: List[Label], step: Step

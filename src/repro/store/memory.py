@@ -85,7 +85,7 @@ class MemoryNodeStore(NodeStore):
     def _ensure(self) -> None:
         """Rebind every derived structure to the current generation; a
         no-op (one int compare) when nothing changed."""
-        generation = self.generation
+        generation = getattr(self.labeling, "generation", 0)
         if generation == self._bound_generation:
             return
         self.columnar = self._build_columnar()

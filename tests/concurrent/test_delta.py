@@ -458,6 +458,80 @@ class TestSpliceOnce:
                 n.node_id for n in _navigational(doc, "//item/..")
             ]
 
+    def test_release_races_with_splices_above(self, monkeypatch):
+        """The reclaimer releases a layer while readers of the layer
+        above splice more columns from it: neither side fails, and no
+        column the layer above has spliced survives on the released
+        layer. Drops and the base's splice bookkeeping sleep, so the
+        readers' splices land while the release is under way."""
+        from repro.generator import generate_xmark
+
+        original = DeltaView._drop_column
+
+        def slow_drop(view, column):
+            time.sleep(0.0005)
+            original(view, column)
+
+        class SlowSet(set):
+            def add(self, item):
+                time.sleep(0.002)
+                super().add(item)
+
+        monkeypatch.setattr(DeltaView, "_drop_column", slow_drop)
+        doc = ConcurrentDocument(
+            generate_xmark(scale=0.02, seed=5), scheme="ruid2", delta_chain_limit=64
+        )
+        with doc.pin():
+            pass
+        tags = sorted({n.tag for n in doc.tree.root.iter_subtree() if n.kind == NodeKind.ELEMENT})
+        first, rest = tags[: len(tags) // 4], tags[len(tags) // 4 :]
+        target = doc.tree.root.children[0]
+        for _ in range(3):
+            doc.insert(target, 0, XmlNode("item", NodeKind.ELEMENT))
+            lower = doc.pin()
+            lower.view.parent_rank_array()
+            for tag in tags:
+                lower.view.tag_ranks(tag)
+            doc.insert(target, 0, XmlNode("item", NodeKind.ELEMENT))
+            errors = []
+            with doc.pin() as snap:
+                upper = snap.view
+                assert isinstance(upper, DeltaView) and upper.base is lower.view
+                upper.parent_rank_array()
+                for tag in first:
+                    upper.tag_ranks(tag)
+                lower.view._spliced_above = SlowSet(lower.view._spliced_above)
+                start = threading.Barrier(5)
+
+                def read():
+                    try:
+                        start.wait()
+                        with doc.pin() as mine:
+                            for tag in rest:
+                                mine.view.tag_ranks(tag)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                readers = [threading.Thread(target=read) for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                start.wait()
+                time.sleep(0.005)
+                try:
+                    lower.release()
+                except Exception as exc:
+                    errors.append(exc)
+                for reader in readers:
+                    reader.join()
+                assert errors == []
+                assert lower.view._released
+                assert lower.view._parent_ranks is None
+                assert set(upper._tag_rank_arrays) == set(tags)
+                assert lower.view._tag_rank_arrays == {}
+                assert snap.select_ids("//item/..") == [
+                    n.node_id for n in _navigational(doc, "//item/..")
+                ]
+
 
 def _navigational(doc, xpath):
     from repro.query import NavigationalEvaluator
